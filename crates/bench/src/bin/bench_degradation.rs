@@ -14,7 +14,7 @@
 //! and gated (warn-level) in CI via `bench_diff --only
 //! degradation_ratio`.
 //!
-//! Runs under the virtual-time simulator (`measure_chaos`, Linux
+//! Runs shape-only chaos requests under the virtual-time simulator (Linux
 //! cluster + Myrinet model, virtual matrices), so every number is
 //! bit-for-bit reproducible. The default problem size keeps the run
 //! communication-bound — the regime where the communication styles
@@ -28,9 +28,10 @@
 
 use srumma_bench::{print_table, write_bench_json};
 use srumma_comm::FaultPlan;
-use srumma_core::driver::measure_chaos;
+use srumma_core::request::{Backend, Multiply};
 use srumma_core::{Algorithm, GemmSpec};
 use srumma_model::Machine;
+use srumma_sim::RunStats;
 use srumma_trace::bench_report_json;
 use srumma_trace::json::JsonObject;
 
@@ -39,6 +40,21 @@ struct Config {
     out: Option<String>,
     n: Option<usize>,
     nranks: Option<usize>,
+}
+
+/// A modeled (shape-only) run of `alg` under `plan`.
+fn measured(
+    machine: &Machine,
+    nranks: usize,
+    alg: &Algorithm,
+    spec: &GemmSpec,
+    plan: FaultPlan,
+) -> RunStats {
+    Multiply::modeled(*alg, *spec)
+        .faults(plan)
+        .run(nranks, &Backend::Sim(machine))
+        .expect("a valid chaos request")
+        .stats
 }
 
 fn parse_args() -> Config {
@@ -99,7 +115,7 @@ fn main() {
     let healthy: Vec<f64> = algs
         .iter()
         .map(|(name, alg)| {
-            let stats = measure_chaos(&machine, nranks, alg, &spec, &FaultPlan::healthy());
+            let stats = measured(&machine, nranks, alg, &spec, FaultPlan::healthy());
             metrics.num(&format!("seconds_healthy_{name}"), stats.makespan);
             eprintln!("{name:>7} healthy: {:.3} s", stats.makespan);
             stats.makespan
@@ -114,7 +130,7 @@ fn main() {
         let mut row = vec![format!("{f:.2}x")];
         let mut pair = [0.0f64; 2];
         for (i, (name, alg)) in algs.iter().enumerate() {
-            let stats = measure_chaos(&machine, nranks, alg, &spec, &plan);
+            let stats = measured(&machine, nranks, alg, &spec, plan.clone());
             let ratio = stats.makespan / healthy[i];
             metrics.num(&format!("seconds_straggled_{name}_x{fx}"), stats.makespan);
             metrics.num(&format!("degradation_ratio_{name}_x{fx}"), ratio);

@@ -31,7 +31,7 @@
 //! Default mode always exits 0 (a *soft* gate: CI warns but stays
 //! green); `--strict` exits 1 when regressions were found.
 
-use srumma_bench::jsonin::Json;
+use srumma_trace::jsonin::Json;
 
 struct Config {
     base: String,

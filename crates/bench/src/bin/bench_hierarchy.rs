@@ -15,7 +15,7 @@
 //! * **hier** — two-level node-group staging (`srumma_hier`): one
 //!   elected fetcher per group per shared off-node panel;
 //! * **hier+repl** — the same staging inside `c = 4` replica teams
-//!   (`srumma_replicated_hier`), each sweeping a quarter of `k`.
+//!   (`srumma_replicated` with stage sets), each sweeping a quarter of `k`.
 //!
 //! Headline metrics per point: LogGP-modeled makespan and total
 //! inter-node bytes (plus intra-group bytes for the staged runs).
@@ -34,9 +34,8 @@
 //! (`--quick`: 1k/4k only; `--smoke`: the CI configuration, 4k only.)
 
 use srumma_bench::{print_table, write_bench_json};
-use srumma_core::hier::{measure_flat_virtual, measure_hier_virtual};
-use srumma_core::repl::measure_replicated_hier_virtual;
-use srumma_core::{GemmSpec, ReplicationFactor, SrummaOptions};
+use srumma_core::request::{Backend, Multiply};
+use srumma_core::{Algorithm, GemmSpec, ReplicationFactor, SrummaOptions};
 use srumma_model::machine::RanksPerDomain;
 use srumma_model::Machine;
 use srumma_trace::bench_report_json;
@@ -110,19 +109,26 @@ fn main() {
         let n = 64 * (p as f64).sqrt() as usize;
         let spec = GemmSpec::square(n).with_scalars(1.0, 0.0);
 
-        let flat = measure_flat_virtual(&machine, p, workers, &opts, &spec);
+        let virt = Backend::Virtual {
+            machine: &machine,
+            workers,
+        };
+        let request = Multiply::modeled(Algorithm::Srumma(opts), spec);
+        let run = |request: Multiply| request.run(p, &virt).expect("a valid modeled request");
+        let flat = run(request.clone()).stats;
         eprintln!(
             "p={p} n={n} flat: makespan {:.3}s, internode {} B",
             flat.makespan,
             flat.total_internode_bytes()
         );
-        let hier = measure_hier_virtual(&machine, p, workers, &opts, &spec);
+        let hier = run(request.clone().hier()).stats;
         eprintln!(
             "p={p} n={n} hier: makespan {:.3}s, internode {} B",
             hier.makespan,
             hier.total_internode_bytes()
         );
-        let (hr, c) = measure_replicated_hier_virtual(&machine, p, workers, repl, &opts, &spec);
+        let out = run(request.hier().replicated(repl));
+        let (hr, c) = (out.stats, out.replication);
         eprintln!(
             "p={p} n={n} hier+repl(c={c}): makespan {:.3}s, internode {} B",
             hr.makespan,

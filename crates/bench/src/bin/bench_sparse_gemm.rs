@@ -12,10 +12,11 @@
 //! against a dense B (the sparse-weights × dense-activations shape, so
 //! surviving work scales linearly with density) on all three backends:
 //!
-//! * **threads** — `multiply_threads_sparse`, wall seconds;
-//! * **exec** — `multiply_exec_sparse` (work-stealing executor, ranks
-//!   oversubscribed onto a bounded pool), wall seconds;
-//! * **sim** — `multiply_verified_sparse` under the SGI Altix machine
+//! * **threads** — a masked `Multiply` on `Backend::Threads`, wall
+//!   seconds;
+//! * **exec** — the same on `Backend::Exec` (work-stealing executor,
+//!   ranks oversubscribed onto a bounded pool), wall seconds;
+//! * **sim** — the same on `Backend::Sim` with the SGI Altix machine
 //!   model, *modeled* makespan (virtual seconds).
 //!
 //! Every cell is verified against `sparse_serial_reference` (masked
@@ -33,10 +34,8 @@
 //! invariant `tasks + masked_tasks == dense task count` asserted.
 
 use srumma_bench::{print_table, write_bench_json};
-use srumma_core::driver::{
-    default_grid, multiply_exec, multiply_exec_sparse, multiply_threads_sparse,
-    multiply_verified_sparse, sparse_serial_reference, SparseMasks,
-};
+use srumma_core::driver::{default_grid, multiply_exec, sparse_serial_reference, SparseMasks};
+use srumma_core::request::{Backend, Multiply};
 use srumma_core::{Algorithm, GemmSpec, SrummaOptions};
 use srumma_dense::{max_abs_diff, BlockMask, Matrix};
 use srumma_model::Machine;
@@ -125,14 +124,17 @@ fn smoke() {
     let opts = SrummaOptions::default();
 
     let expect = sparse_serial_reference(&spec, &a, &b, &masks);
-    let (got, res) = multiply_exec_sparse(nranks, workers, &opts, &spec, &a, &b, &masks);
-    let diff = max_abs_diff(&got, &expect);
+    let res = Multiply::new(Algorithm::Srumma(opts), spec, &a, &b)
+        .masks(masks)
+        .run(nranks, &Backend::exec(workers))
+        .expect("a valid sparse request");
+    let diff = max_abs_diff(res.c.as_ref().expect("real operands"), &expect);
     assert!(diff < 1e-9, "smoke: |diff|={diff:e}");
 
     let (_, dense_res) = multiply_exec(nranks, workers, &Algorithm::Srumma(opts), &spec, &a, &b);
     let mut masked_total = 0usize;
     let mut flops_skipped = 0u64;
-    for (rank, (sparse, dense)) in res.outputs.iter().zip(&dense_res.outputs).enumerate() {
+    for (rank, (sparse, dense)) in res.reports.iter().zip(&dense_res.outputs).enumerate() {
         let dense = dense.as_ref().expect("dense exec run returns a report");
         assert_eq!(
             sparse.tasks + sparse.masked_tasks,
@@ -190,34 +192,34 @@ fn main() {
         // At full density the masks are all-ones, so the sparse path
         // must agree with the dense driver bit for bit.
         let expect = sparse_serial_reference(&spec, &a, &b, &masks);
-        let (got, res) = multiply_exec_sparse(nranks, workers, &opts, &spec, &a, &b, &masks);
-        let diff = max_abs_diff(&got, &expect);
+        let sparse = Multiply::new(Algorithm::Srumma(opts), spec, &a, &b).masks(masks);
+        let run = |backend: &Backend| sparse.run(nranks, backend).expect("a valid sparse request");
+        let res = run(&Backend::exec(workers));
+        let got = res.c.as_ref().expect("real operands");
+        let diff = max_abs_diff(got, &expect);
         assert!(diff < 1e-6 * n as f64, "d={d}: exec |diff|={diff:e}");
         if d == 100 {
             let (dense, _) =
                 multiply_exec(nranks, workers, &Algorithm::Srumma(opts), &spec, &a, &b);
             assert_eq!(
-                max_abs_diff(&got, &dense),
+                max_abs_diff(got, &dense),
                 0.0,
                 "d=100 must be bitwise identical to the dense driver"
             );
         }
-        let masked: usize = res.outputs.iter().map(|r| r.masked_tasks).sum();
-        let survived: usize = res.outputs.iter().map(|r| r.tasks).sum();
-        let skipped: u64 = res.outputs.iter().map(|r| r.skipped_flops).sum();
+        let masked: usize = res.reports.iter().map(|r| r.masked_tasks).sum();
+        let survived: usize = res.reports.iter().map(|r| r.tasks).sum();
+        let skipped: u64 = res.reports.iter().map(|r| r.skipped_flops).sum();
 
         // Warm both wall-clock paths, then time.
-        let _ = multiply_threads_sparse(nranks, &opts, &spec, &a, &b, &masks);
-        let t_threads = best_of(samples, || {
-            multiply_threads_sparse(nranks, &opts, &spec, &a, &b, &masks).1
-        });
+        let _ = run(&Backend::threads());
+        let t_threads = best_of(samples, || run(&Backend::threads()).wall_seconds);
         let t_exec = best_of(samples, || {
             let t0 = Instant::now();
-            let _ = multiply_exec_sparse(nranks, workers, &opts, &spec, &a, &b, &masks);
+            let _ = run(&Backend::exec(workers));
             t0.elapsed().as_secs_f64()
         });
-        let (_, stats) = multiply_verified_sparse(&machine, nranks, &opts, &spec, &a, &b, &masks);
-        let t_sim = stats.makespan;
+        let t_sim = run(&Backend::Sim(&machine)).stats.makespan;
 
         metrics.num(&format!("seconds_threads_d{d}"), t_threads);
         metrics.num(&format!("seconds_exec_d{d}"), t_exec);

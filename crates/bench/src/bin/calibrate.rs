@@ -21,10 +21,8 @@ use srumma_core::batch::{multiply_batch_exec, BatchEntry, BatchSpec};
 use srumma_core::driver::{multiply_exec, multiply_threads};
 use srumma_core::memory::replicated_arena_footprint;
 use srumma_core::repl::admissible_factor;
-use srumma_core::{
-    multiply_threads_hier, multiply_threads_replicated, Algorithm, GemmSpec, HostProfile,
-    ReplicationFactor, SrummaOptions,
-};
+use srumma_core::request::{Backend, Multiply};
+use srumma_core::{Algorithm, GemmSpec, HostProfile, ReplicationFactor, SrummaOptions};
 use srumma_dense::blocked::{blocked_gemm_ws, BlockSizes, STRASSEN_MIN_CUTOFF};
 use srumma_dense::kernel::host_kernel_summary;
 use srumma_dense::{active_kernel, dgemm_ws, GemmWorkspace, Matrix, Microkernel, Op, PackLayout};
@@ -418,10 +416,9 @@ fn probe_batch() -> HostProfile {
 }
 
 /// Probe node-group sizes and replication factors on this host: run
-/// the flat, hierarchical (`multiply_threads_hier`) and replicated
-/// (`multiply_threads_replicated`) drivers over the admissible
-/// `ranks_per_node` / `c` values at a fixed rank count, report wall
-/// times and the crossover (best group size, best factor), and write
+/// the flat, hierarchical and replicated thread-backend requests over
+/// the admissible `ranks_per_node` / `c` values at a fixed rank count,
+/// report wall times and the crossover (best group size, best factor), and write
 /// the result as a small JSON profile to
 /// `<results_dir>/topology_profile.json` so deployments can feed the
 /// measured winners back into `SrummaOptions` instead of guessing.
@@ -473,8 +470,12 @@ fn probe_topology() -> HostProfile {
     // (nothing is off-node). The interesting crossover lives between.
     let mut best_group = (f64::INFINITY, 1usize);
     for rpn in (1..=nranks).filter(|w| nranks.is_multiple_of(*w)) {
+        let hier = Multiply::new(Algorithm::Srumma(opts), spec, &a, &b).hier();
+        let nodes = Backend::Threads {
+            ranks_per_node: Some(rpn),
+        };
         let t = best_of_3(&mut || {
-            let _ = multiply_threads_hier(nranks, rpn, &opts, &spec, &a, &b);
+            let _ = hier.run(nranks, &nodes);
         });
         println!(
             "  hier  rpn={rpn:<3}        {:>8.2} ms ({:+.1}% vs flat)",
@@ -495,16 +496,13 @@ fn probe_topology() -> HostProfile {
     let mut best_c = (f64::INFINITY, 1usize, 0u64);
     for c in (1..=nranks).filter(|&c| admissible_factor(nranks, topo, spec.k, c)) {
         let arena = replicated_arena_footprint(&spec, nranks, c, &opts).buffer_bytes;
+        let repl = Multiply::new(Algorithm::Srumma(opts), spec, &a, &b)
+            .replicated(ReplicationFactor::Fixed(c));
+        let nodes = Backend::Threads {
+            ranks_per_node: Some(best_group.1),
+        };
         let t = best_of_3(&mut || {
-            let _ = multiply_threads_replicated(
-                nranks,
-                best_group.1,
-                ReplicationFactor::Fixed(c),
-                &opts,
-                &spec,
-                &a,
-                &b,
-            );
+            let _ = repl.run(nranks, &nodes);
         });
         println!(
             "  repl  c={c:<3} rpn={:<3}  {:>8.2} ms ({:+.1}% vs flat, arena {} B/rank)",

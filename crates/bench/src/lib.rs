@@ -13,7 +13,6 @@ use srumma_model::Machine;
 use srumma_sim::RunStats;
 use std::io::Write;
 
-pub mod jsonin;
 pub mod timing;
 
 /// Write a JSON report under `<results_dir>/BENCH_<name>.json` (the

@@ -51,6 +51,38 @@ pub struct RankDeath {
     pub after_tasks: usize,
 }
 
+/// Why a [`FaultPlan`] does not fit a run ([`FaultPlan::validate`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum FaultPlanError {
+    /// The per-rank slowdowns were sized for `plan` ranks.
+    WrongRankCount { plan: usize, nranks: usize },
+    /// A slowdown factor below 1 (or NaN).
+    Slowdown { rank: usize, factor: f64 },
+    /// The dying rank is not part of the run.
+    DeadRankOutOfRange { rank: usize, nranks: usize },
+    /// A death on a one-rank run leaves nobody to re-execute its work.
+    NoSurvivor,
+}
+
+impl std::fmt::Display for FaultPlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::WrongRankCount { plan, nranks } => {
+                write!(f, "fault plan sized for {plan} ranks, run has {nranks}")
+            }
+            Self::Slowdown { rank, factor } => {
+                write!(f, "rank {rank} slowdown factor {factor} < 1.0")
+            }
+            Self::DeadRankOutOfRange { rank, nranks } => {
+                write!(f, "dead rank {rank} out of {nranks}")
+            }
+            Self::NoSurvivor => write!(f, "rank death needs at least one survivor"),
+        }
+    }
+}
+
+impl std::error::Error for FaultPlanError {}
+
 /// A seeded, deterministic description of injected faults.
 ///
 /// Construct with [`FaultPlan::healthy`], [`FaultPlan::single_straggler`]
@@ -84,10 +116,10 @@ impl FaultPlan {
         }
     }
 
-    /// Exactly one straggler: `rank` runs `factor`× slower.
+    /// Exactly one straggler: `rank` runs `factor`× slower. A factor
+    /// below 1 fails [`FaultPlan::validate`].
     pub fn single_straggler(nranks: usize, rank: usize, factor: f64) -> Self {
         assert!(rank < nranks, "straggler rank {rank} out of {nranks}");
-        assert!(factor >= 1.0, "slowdown factor must be >= 1.0");
         let mut slow = vec![1.0; nranks];
         slow[rank] = factor;
         FaultPlan {
@@ -143,18 +175,28 @@ impl FaultPlan {
     }
 
     /// Sanity-check the plan against a run's rank count.
-    pub fn validate(&self, nranks: usize) {
-        assert!(
-            self.slow.is_empty() || self.slow.len() == nranks,
-            "fault plan sized for {} ranks, run has {nranks}",
-            self.slow.len()
-        );
-        for (r, &f) in self.slow.iter().enumerate() {
-            assert!(f >= 1.0, "rank {r} slowdown factor {f} < 1.0");
+    pub fn validate(&self, nranks: usize) -> Result<(), FaultPlanError> {
+        if !self.slow.is_empty() && self.slow.len() != nranks {
+            return Err(FaultPlanError::WrongRankCount {
+                plan: self.slow.len(),
+                nranks,
+            });
         }
-        if let Some(d) = self.death {
-            assert!(d.rank < nranks, "dead rank {} out of {nranks}", d.rank);
-            assert!(nranks >= 2, "rank death needs at least one survivor");
+        if let Some((rank, &factor)) = self
+            .slow
+            .iter()
+            .enumerate()
+            .find(|(_, f)| !(1.0..).contains(*f))
+        {
+            return Err(FaultPlanError::Slowdown { rank, factor });
+        }
+        match self.death {
+            Some(d) if d.rank >= nranks => Err(FaultPlanError::DeadRankOutOfRange {
+                rank: d.rank,
+                nranks,
+            }),
+            Some(_) if nranks < 2 => Err(FaultPlanError::NoSurvivor),
+            _ => Ok(()),
         }
     }
 
@@ -466,7 +508,7 @@ mod tests {
     fn straggler_factors_respect_bounds() {
         for seed in 0..32 {
             let p = FaultPlan::random_stragglers(seed, 16);
-            p.validate(16);
+            p.validate(16).unwrap();
             for r in 0..16 {
                 let f = p.slow_factor(r);
                 assert!((1.0..=3.0).contains(&f), "factor {f} out of bounds");
@@ -483,7 +525,7 @@ mod tests {
     fn healthy_plan_injects_nothing() {
         let p = FaultPlan::healthy();
         assert!(p.is_healthy());
-        p.validate(1024);
+        p.validate(1024).unwrap();
         assert_eq!(p.slow_factor(7), 1.0);
         assert_eq!(p.get_spike(7, 0), 0.0);
     }
@@ -491,6 +533,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one survivor")]
     fn death_on_a_single_rank_run_is_rejected() {
-        FaultPlan::healthy().with_death(0, 0).validate(1);
+        if let Err(e) = FaultPlan::healthy().with_death(0, 0).validate(1) {
+            panic!("{e}");
+        }
     }
 }

@@ -53,7 +53,7 @@ pub use exec::{
     exec_run, exec_run_tasks, exec_run_tasks_with_topology, exec_run_traced,
     exec_run_with_topology, resolve_workers, ExecComm, ExecRunResult, RankTask, Step,
 };
-pub use fault::{ChaosComm, FaultPlan, RankDeath};
+pub use fault::{ChaosComm, FaultPlan, FaultPlanError, RankDeath};
 pub use simbackend::{sim_run, ComputeMode, SimComm, SimOptions};
 pub use subcomm::SubComm;
 pub use threadbackend::{

@@ -60,7 +60,9 @@ impl SimOptions {
             "the sim backend applies stragglers and spikes only; rank death \
              needs the executor's re-execution machinery"
         );
-        plan.validate(self.nranks);
+        if let Err(e) = plan.validate(self.nranks) {
+            panic!("{e}");
+        }
         self.fault = plan;
         self
     }

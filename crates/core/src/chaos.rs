@@ -46,8 +46,8 @@ struct Orphan<'a> {
 }
 
 /// The shared recovery queue for one chaotic run: dying ranks publish
-/// their machines here, survivors claim them. One per
-/// [`crate::driver::multiply_exec_chaos`] call.
+/// their machines here, survivors claim them. One per chaotic
+/// executor run of [`crate::request::Multiply`].
 #[derive(Default)]
 pub struct ChaosRecovery<'a> {
     orphans: Mutex<Vec<Orphan<'a>>>,

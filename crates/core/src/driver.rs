@@ -1,22 +1,17 @@
-//! One-call drivers: allocate, scatter, run, gather.
+//! One-call shorthands, each a single [`Multiply`] request, plus the
+//! serial references every backend is checked against:
 //!
-//! These wrap the collective algorithms for the two common usages:
-//!
-//! * [`multiply_verified`] — real data under the simulator (or on
-//!   threads via [`multiply_threads`]): returns the numeric result so
-//!   callers can check it against the serial kernel;
-//! * [`measure_modeled`] — virtual (shape-only) matrices at paper
-//!   scale: returns only timing/statistics.
+//! * [`multiply_threads`] / [`multiply_exec`] — real data on host
+//!   threads or the work-stealing executor;
+//! * [`measure_modeled`] / [`measure_gflops`] — virtual (shape-only)
+//!   matrices at paper scale under the simulator.
 
-use crate::api::{parallel_gemm, Algorithm};
-use crate::chaos::{ChaosRecovery, ChaosSrummaRankTask};
-use crate::layout::{dist_a, dist_b, dist_c, scatter_operands, set_a_mask, set_b_mask};
-use crate::options::{GemmSpec, SrummaOptions};
-use crate::srumma::{srumma, SrummaRankTask, SrummaReport};
-use srumma_comm::{
-    exec_run, exec_run_tasks, exec_run_traced, sim_run, thread_run, thread_run_traced, ChaosComm,
-    ExecRunResult, FaultPlan, SimOptions,
-};
+use crate::api::Algorithm;
+use crate::layout::{set_a_mask, set_b_mask};
+use crate::options::GemmSpec;
+use crate::request::{Backend, Multiply};
+use crate::srumma::SrummaReport;
+use srumma_comm::ExecRunResult;
 use srumma_dense::{BlockMask, Matrix};
 use srumma_model::{Machine, ProcGrid};
 use srumma_sim::RunStats;
@@ -28,28 +23,6 @@ pub fn default_grid(nranks: usize) -> ProcGrid {
     ProcGrid::near_square(nranks)
 }
 
-/// Run `alg` on real data under the simulated `machine` and return
-/// `(C, stats)`; `a` is logical `m × k`, `b` logical `k × n`.
-pub fn multiply_verified(
-    machine: &Machine,
-    nranks: usize,
-    alg: &Algorithm,
-    spec: &GemmSpec,
-    a: &Matrix,
-    b: &Matrix,
-) -> (Matrix, RunStats) {
-    let grid = default_grid(nranks);
-    let da = dist_a(spec, grid, true);
-    let db = dist_b(spec, grid, true);
-    let dc = dist_c(spec, grid, true);
-    scatter_operands(spec, &da, &db, a, b);
-    let opts = SimOptions::new(machine.clone(), nranks);
-    let res = sim_run(&opts, |comm| {
-        parallel_gemm(comm, alg, spec, &da, &db, &dc);
-    });
-    (dc.gather(), res.stats)
-}
-
 /// Run `alg` on virtual matrices at paper scale; returns run statistics
 /// (timings, bytes, overlap) only.
 pub fn measure_modeled(
@@ -58,15 +31,10 @@ pub fn measure_modeled(
     alg: &Algorithm,
     spec: &GemmSpec,
 ) -> RunStats {
-    let grid = default_grid(nranks);
-    let da = dist_a(spec, grid, false);
-    let db = dist_b(spec, grid, false);
-    let dc = dist_c(spec, grid, false);
-    let opts = SimOptions::new(machine.clone(), nranks);
-    sim_run(&opts, |comm| {
-        parallel_gemm(comm, alg, spec, &da, &db, &dc);
-    })
-    .stats
+    Multiply::modeled(*alg, *spec)
+        .run(nranks, &Backend::Sim(machine))
+        .map(|out| out.stats)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// A run that kept its event timeline: the statistics plus the raw
@@ -79,28 +47,6 @@ pub struct TracedRun {
     pub stats: RunStats,
     /// Merged event timeline, sorted by start time.
     pub trace: Vec<TraceEvent>,
-}
-
-/// [`measure_modeled`] with event tracing on: virtual matrices at paper
-/// scale, returning the statistics *and* the full simulator timeline.
-pub fn measure_traced(
-    machine: &Machine,
-    nranks: usize,
-    alg: &Algorithm,
-    spec: &GemmSpec,
-) -> TracedRun {
-    let grid = default_grid(nranks);
-    let da = dist_a(spec, grid, false);
-    let db = dist_b(spec, grid, false);
-    let dc = dist_c(spec, grid, false);
-    let opts = SimOptions::traced(machine.clone(), nranks);
-    let res = sim_run(&opts, |comm| {
-        parallel_gemm(comm, alg, spec, &da, &db, &dc);
-    });
-    TracedRun {
-        stats: res.stats,
-        trace: res.trace,
-    }
 }
 
 /// GFLOP/s of a modeled run (the unit of the paper's figures).
@@ -118,42 +64,10 @@ pub fn multiply_threads(
     a: &Matrix,
     b: &Matrix,
 ) -> (Matrix, f64) {
-    let grid = default_grid(nranks);
-    let da = dist_a(spec, grid, true);
-    let db = dist_b(spec, grid, true);
-    let dc = dist_c(spec, grid, true);
-    scatter_operands(spec, &da, &db, a, b);
-    let res = thread_run(nranks, |comm| {
-        parallel_gemm(comm, alg, spec, &da, &db, &dc);
-    });
-    (dc.gather(), res.wall_seconds)
-}
-
-/// [`multiply_threads`] with wall-clock event tracing on. Returns the
-/// numeric result and the traced run (barriers, copies, kernel calls
-/// and task envelopes, timestamped with real elapsed seconds).
-pub fn multiply_threads_traced(
-    nranks: usize,
-    alg: &Algorithm,
-    spec: &GemmSpec,
-    a: &Matrix,
-    b: &Matrix,
-) -> (Matrix, TracedRun) {
-    let grid = default_grid(nranks);
-    let da = dist_a(spec, grid, true);
-    let db = dist_b(spec, grid, true);
-    let dc = dist_c(spec, grid, true);
-    scatter_operands(spec, &da, &db, a, b);
-    let res = thread_run_traced(nranks, |comm| {
-        parallel_gemm(comm, alg, spec, &da, &db, &dc);
-    });
-    (
-        dc.gather(),
-        TracedRun {
-            stats: res.stats,
-            trace: res.trace,
-        },
-    )
+    Multiply::new(*alg, *spec, a, b)
+        .run(nranks, &Backend::threads())
+        .map(|out| (out.c.expect("real operands gather C"), out.wall_seconds))
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Run `alg` on real data on the **work-stealing executor**: `nranks`
@@ -162,7 +76,8 @@ pub fn multiply_threads_traced(
 /// — zero OS threads per rank); SUMMA and Cannon run their unmodified
 /// blocking code on loan-gated threads. Returns the numeric result and
 /// the full run result — `stats.exec` carries the steal-rate/occupancy
-/// counters.
+/// counters; `outputs` holds each rank's SRUMMA report (`None` for
+/// SUMMA and Cannon).
 pub fn multiply_exec(
     nranks: usize,
     workers: usize,
@@ -171,175 +86,23 @@ pub fn multiply_exec(
     a: &Matrix,
     b: &Matrix,
 ) -> (Matrix, ExecRunResult<Option<SrummaReport>>) {
-    multiply_exec_inner(nranks, workers, false, alg, spec, a, b)
-}
-
-/// [`multiply_exec`] with wall-clock event tracing on (including the
-/// scheduler's steal/park/resume markers).
-pub fn multiply_exec_traced(
-    nranks: usize,
-    workers: usize,
-    alg: &Algorithm,
-    spec: &GemmSpec,
-    a: &Matrix,
-    b: &Matrix,
-) -> (Matrix, ExecRunResult<Option<SrummaReport>>) {
-    multiply_exec_inner(nranks, workers, true, alg, spec, a, b)
-}
-
-fn multiply_exec_inner(
-    nranks: usize,
-    workers: usize,
-    trace: bool,
-    alg: &Algorithm,
-    spec: &GemmSpec,
-    a: &Matrix,
-    b: &Matrix,
-) -> (Matrix, ExecRunResult<Option<SrummaReport>>) {
-    let grid = default_grid(nranks);
-    let da = dist_a(spec, grid, true);
-    let db = dist_b(spec, grid, true);
-    let dc = dist_c(spec, grid, true);
-    scatter_operands(spec, &da, &db, a, b);
-    let res = match alg {
-        Algorithm::Srumma(opts) => {
-            let r = exec_run_tasks(nranks, workers, trace, |comm| {
-                Box::new(SrummaRankTask::new(comm, spec, &da, &db, &dc, opts))
-            });
-            ExecRunResult {
-                outputs: r.outputs.into_iter().map(Some).collect(),
-                wall_seconds: r.wall_seconds,
-                trace: r.trace,
-                stats: r.stats,
-            }
-        }
-        _ => {
-            let run =
-                |comm: &mut srumma_comm::ExecComm| parallel_gemm(comm, alg, spec, &da, &db, &dc);
-            if trace {
-                exec_run_traced(nranks, workers, run)
+    Multiply::new(*alg, *spec, a, b)
+        .run(nranks, &Backend::exec(workers))
+        .map(|out| {
+            let outputs = if out.reports.is_empty() {
+                vec![None; nranks]
             } else {
-                exec_run(nranks, workers, run)
-            }
-        }
-    };
-    (dc.gather(), res)
-}
-
-/// [`multiply_verified`] under a [`FaultPlan`]: real data under the
-/// simulated `machine` with stragglers and get spikes applied in
-/// virtual time. Deterministic — the same plan yields bit-identical
-/// stats and C on every run. Plans with a rank death are rejected
-/// (death needs the executor's re-execution machinery).
-pub fn multiply_verified_chaos(
-    machine: &Machine,
-    nranks: usize,
-    alg: &Algorithm,
-    spec: &GemmSpec,
-    a: &Matrix,
-    b: &Matrix,
-    plan: &FaultPlan,
-) -> (Matrix, RunStats) {
-    let grid = default_grid(nranks);
-    let da = dist_a(spec, grid, true);
-    let db = dist_b(spec, grid, true);
-    let dc = dist_c(spec, grid, true);
-    scatter_operands(spec, &da, &db, a, b);
-    let opts = SimOptions::new(machine.clone(), nranks).with_faults(plan.clone());
-    let res = sim_run(&opts, |comm| {
-        parallel_gemm(comm, alg, spec, &da, &db, &dc);
-    });
-    (dc.gather(), res.stats)
-}
-
-/// [`measure_modeled`] under a [`FaultPlan`]: virtual matrices at paper
-/// scale with injected stragglers/spikes, returning statistics only —
-/// the degradation benchmark's workhorse.
-pub fn measure_chaos(
-    machine: &Machine,
-    nranks: usize,
-    alg: &Algorithm,
-    spec: &GemmSpec,
-    plan: &FaultPlan,
-) -> RunStats {
-    let grid = default_grid(nranks);
-    let da = dist_a(spec, grid, false);
-    let db = dist_b(spec, grid, false);
-    let dc = dist_c(spec, grid, false);
-    let opts = SimOptions::new(machine.clone(), nranks).with_faults(plan.clone());
-    sim_run(&opts, |comm| {
-        parallel_gemm(comm, alg, spec, &da, &db, &dc);
-    })
-    .stats
-}
-
-/// [`multiply_threads`] (SRUMMA only) under a [`FaultPlan`]: each rank
-/// thread wraps its communicator in a [`ChaosComm`], so stragglers and
-/// spiked gets become real sleeps. Wall timing is noisy but the fault
-/// *schedule* is deterministic. Plans with a rank death are rejected.
-pub fn multiply_threads_chaos(
-    nranks: usize,
-    opts: &SrummaOptions,
-    spec: &GemmSpec,
-    a: &Matrix,
-    b: &Matrix,
-    plan: &FaultPlan,
-) -> (Matrix, f64) {
-    assert!(
-        plan.death.is_none(),
-        "rank death needs the executor backend (multiply_exec_chaos)"
-    );
-    plan.validate(nranks);
-    let grid = default_grid(nranks);
-    let da = dist_a(spec, grid, true);
-    let db = dist_b(spec, grid, true);
-    let dc = dist_c(spec, grid, true);
-    scatter_operands(spec, &da, &db, a, b);
-    let res = thread_run(nranks, |comm| {
-        let mut chaos = ChaosComm::new(&mut *comm, plan.clone());
-        srumma(&mut chaos, spec, &da, &db, &dc, opts);
-    });
-    (dc.gather(), res.wall_seconds)
-}
-
-/// [`multiply_exec`] (SRUMMA only) under a full [`FaultPlan`] —
-/// including fail-stop rank death with task re-execution: the dying
-/// rank publishes its machine to a [`ChaosRecovery`] queue, a survivor
-/// drives it to completion and discharges the dead rank's barrier
-/// obligation by proxy. The gathered C is exactly the healthy result.
-/// Per-rank reports are partial for the dead rank; the claimant's
-/// trace counters carry `tasks_reexecuted`.
-pub fn multiply_exec_chaos(
-    nranks: usize,
-    workers: usize,
-    opts: &SrummaOptions,
-    spec: &GemmSpec,
-    a: &Matrix,
-    b: &Matrix,
-    plan: &FaultPlan,
-) -> (Matrix, ExecRunResult<SrummaReport>) {
-    plan.validate(nranks);
-    let grid = default_grid(nranks);
-    let da = dist_a(spec, grid, true);
-    let db = dist_b(spec, grid, true);
-    let dc = dist_c(spec, grid, true);
-    scatter_operands(spec, &da, &db, a, b);
-    // Declared after the matrices: any unclaimed machine (borrowing
-    // them) drops with the queue first.
-    let recovery = ChaosRecovery::new();
-    let res = exec_run_tasks(nranks, workers, false, |comm| {
-        Box::new(ChaosSrummaRankTask::new(
-            comm,
-            spec,
-            &da,
-            &db,
-            &dc,
-            opts,
-            plan.clone(),
-            &recovery,
-        ))
-    });
-    (dc.gather(), res)
+                out.reports.into_iter().map(Some).collect()
+            };
+            let run = ExecRunResult {
+                outputs,
+                wall_seconds: out.wall_seconds,
+                trace: out.trace,
+                stats: out.stats,
+            };
+            (out.c.expect("real operands gather C"), run)
+        })
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Logical block masks for a sparse multiply. `a` is `grid.p × kparts`
@@ -379,7 +142,7 @@ impl SparseMasks {
         }
     }
 
-    fn apply(
+    pub(crate) fn apply(
         &self,
         spec: &GemmSpec,
         da: &mut srumma_comm::DistMatrix,
@@ -392,113 +155,6 @@ impl SparseMasks {
             set_b_mask(spec, db, m.clone());
         }
     }
-}
-
-/// Block-sparse [`multiply_threads`]: SRUMMA on real host threads with
-/// masked task generation. Blocks of `a`/`b` flagged zero by `masks`
-/// contribute nothing — their gets, packing and kernel calls are
-/// pruned before ordering, so whatever data sits inside them is
-/// ignored. Returns `(C, wall seconds)`.
-pub fn multiply_threads_sparse(
-    nranks: usize,
-    opts: &SrummaOptions,
-    spec: &GemmSpec,
-    a: &Matrix,
-    b: &Matrix,
-    masks: &SparseMasks,
-) -> (Matrix, f64) {
-    let grid = default_grid(nranks);
-    let mut da = dist_a(spec, grid, true);
-    let mut db = dist_b(spec, grid, true);
-    let dc = dist_c(spec, grid, true);
-    scatter_operands(spec, &da, &db, a, b);
-    masks.apply(spec, &mut da, &mut db);
-    let res = thread_run(nranks, |comm| {
-        srumma(comm, spec, &da, &db, &dc, opts);
-    });
-    (dc.gather(), res.wall_seconds)
-}
-
-/// Block-sparse [`multiply_verified`]: SRUMMA on real data under the
-/// simulated `machine` with masked task generation. Returns
-/// `(C, stats)` — `stats` carries the per-rank surviving-task counts
-/// and skipped-flop totals.
-pub fn multiply_verified_sparse(
-    machine: &Machine,
-    nranks: usize,
-    opts: &SrummaOptions,
-    spec: &GemmSpec,
-    a: &Matrix,
-    b: &Matrix,
-    masks: &SparseMasks,
-) -> (Matrix, RunStats) {
-    let grid = default_grid(nranks);
-    let mut da = dist_a(spec, grid, true);
-    let mut db = dist_b(spec, grid, true);
-    let dc = dist_c(spec, grid, true);
-    scatter_operands(spec, &da, &db, a, b);
-    masks.apply(spec, &mut da, &mut db);
-    let sim_opts = SimOptions::new(machine.clone(), nranks);
-    let res = sim_run(&sim_opts, |comm| {
-        srumma(comm, spec, &da, &db, &dc, opts);
-    });
-    (dc.gather(), res.stats)
-}
-
-/// Block-sparse [`multiply_verified_chaos`]: masked task generation
-/// *and* injected stragglers/spikes under the simulator. The pruning
-/// edge this exercises: a rank whose every task is masked still holds
-/// every fence, even when a straggler plan delays the ranks it waits
-/// on. Plans with a rank death are rejected by `with_faults`.
-#[allow(clippy::too_many_arguments)]
-pub fn multiply_verified_sparse_chaos(
-    machine: &Machine,
-    nranks: usize,
-    opts: &SrummaOptions,
-    spec: &GemmSpec,
-    a: &Matrix,
-    b: &Matrix,
-    masks: &SparseMasks,
-    plan: &FaultPlan,
-) -> (Matrix, RunStats) {
-    let grid = default_grid(nranks);
-    let mut da = dist_a(spec, grid, true);
-    let mut db = dist_b(spec, grid, true);
-    let dc = dist_c(spec, grid, true);
-    scatter_operands(spec, &da, &db, a, b);
-    masks.apply(spec, &mut da, &mut db);
-    let sim_opts = SimOptions::new(machine.clone(), nranks).with_faults(plan.clone());
-    let res = sim_run(&sim_opts, |comm| {
-        srumma(comm, spec, &da, &db, &dc, opts);
-    });
-    (dc.gather(), res.stats)
-}
-
-/// Block-sparse [`multiply_exec`]: SRUMMA rank state machines on the
-/// work-stealing executor with masked task generation. A rank whose
-/// every block is masked still participates in every barrier and
-/// β-scales its C tiles. Returns the numeric result and the full run
-/// result (per-rank [`SrummaReport`]s include `masked_tasks` /
-/// `skipped_flops`).
-pub fn multiply_exec_sparse(
-    nranks: usize,
-    workers: usize,
-    opts: &SrummaOptions,
-    spec: &GemmSpec,
-    a: &Matrix,
-    b: &Matrix,
-    masks: &SparseMasks,
-) -> (Matrix, ExecRunResult<SrummaReport>) {
-    let grid = default_grid(nranks);
-    let mut da = dist_a(spec, grid, true);
-    let mut db = dist_b(spec, grid, true);
-    let dc = dist_c(spec, grid, true);
-    scatter_operands(spec, &da, &db, a, b);
-    masks.apply(spec, &mut da, &mut db);
-    let res = exec_run_tasks(nranks, workers, false, |comm| {
-        Box::new(SrummaRankTask::new(comm, spec, &da, &db, &dc, opts))
-    });
-    (dc.gather(), res)
 }
 
 /// The serial reference for a block-sparse multiply: zero out the

@@ -33,16 +33,11 @@
 //! off-node A traffic exists. Wider nodes (`w > q`) additionally share
 //! B panels across rows and stage those too.
 
-use crate::layout::{dist_a, dist_b, dist_c, scatter_operands};
+use crate::layout::{dist_a, dist_b};
 use crate::options::{GemmSpec, SrummaOptions};
-use crate::srumma::{srumma, SrummaMachine, SrummaReport};
-use srumma_comm::{
-    exec_run_tasks_with_topology, sim_run, thread_run_with_topology, virtual_run, Comm, CostMap,
-    DistMatrix, ExecComm, ExecRunResult, RankTask, SimOptions, Step,
-};
-use srumma_dense::Matrix;
-use srumma_model::{Machine, ProcGrid, Topology};
-use srumma_sim::RunStats;
+use crate::srumma::{SrummaMachine, SrummaReport};
+use srumma_comm::{Comm, CostMap, DistMatrix, ExecComm, RankTask, Step};
+use srumma_model::{ProcGrid, Topology};
 
 /// Members of `members` (a contiguous global-rank range) whose C-grid
 /// row is `row` — the demand multiplicity of an A panel stored in that
@@ -472,127 +467,23 @@ impl RankTask for HierRankTask<'_> {
     }
 }
 
-/// Hierarchical [`crate::driver::multiply_threads`]: real data on real
-/// host threads with an emulated cluster topology of `ranks_per_node`
-/// ranks per node. Returns `(C, wall seconds)`.
-pub fn multiply_threads_hier(
-    nranks: usize,
-    ranks_per_node: usize,
-    opts: &SrummaOptions,
-    spec: &GemmSpec,
-    a: &Matrix,
-    b: &Matrix,
-) -> (Matrix, f64) {
-    let topo = Topology::new(nranks, ranks_per_node);
-    let grid = crate::driver::default_grid(nranks);
-    let da = dist_a(spec, grid, true);
-    let db = dist_b(spec, grid, true);
-    let dc = dist_c(spec, grid, true);
-    scatter_operands(spec, &da, &db, a, b);
-    let stages = HierStageSet::create(spec, grid, topo, true);
-    let res = thread_run_with_topology(nranks, topo, |comm| {
-        srumma_hier(comm, spec, &da, &db, &dc, opts, &stages);
-    });
-    (dc.gather(), res.wall_seconds)
-}
-
-/// Hierarchical [`crate::driver::multiply_exec`]: rank state machines
-/// on the work-stealing executor under an emulated cluster topology.
-pub fn multiply_exec_hier(
-    nranks: usize,
-    workers: usize,
-    ranks_per_node: usize,
-    opts: &SrummaOptions,
-    spec: &GemmSpec,
-    a: &Matrix,
-    b: &Matrix,
-) -> (Matrix, ExecRunResult<HierReport>) {
-    let topo = Topology::new(nranks, ranks_per_node);
-    let grid = crate::driver::default_grid(nranks);
-    let da = dist_a(spec, grid, true);
-    let db = dist_b(spec, grid, true);
-    let dc = dist_c(spec, grid, true);
-    scatter_operands(spec, &da, &db, a, b);
-    let stages = HierStageSet::create(spec, grid, topo, true);
-    let res = exec_run_tasks_with_topology(nranks, workers, false, Some(topo), |comm| {
-        Box::new(HierRankTask::new(comm, spec, &da, &db, &dc, opts, &stages))
-    });
-    (dc.gather(), res)
-}
-
-/// Hierarchical [`crate::driver::multiply_verified`]: real data under
-/// the discrete-event simulator, with the topology taken from the
-/// machine profile. Returns `(C, stats)` — `stats` carries the
-/// inter-node/intra-group byte split.
-pub fn multiply_verified_hier(
-    machine: &Machine,
-    nranks: usize,
-    opts: &SrummaOptions,
-    spec: &GemmSpec,
-    a: &Matrix,
-    b: &Matrix,
-) -> (Matrix, RunStats) {
-    let topo = machine.topology(nranks);
-    let grid = crate::driver::default_grid(nranks);
-    let da = dist_a(spec, grid, true);
-    let db = dist_b(spec, grid, true);
-    let dc = dist_c(spec, grid, true);
-    scatter_operands(spec, &da, &db, a, b);
-    let stages = HierStageSet::create(spec, grid, topo, true);
-    let sim_opts = SimOptions::new(machine.clone(), nranks);
-    let res = sim_run(&sim_opts, |comm| {
-        srumma_hier(comm, spec, &da, &db, &dc, opts, &stages);
-    });
-    (dc.gather(), res.stats)
-}
-
-/// Modeled hierarchical run on the per-rank virtual-clock backend —
-/// the 64k-rank path: virtual matrices, `nranks` LogGP clocks
-/// multiplexed onto `workers` host threads. Returns run statistics.
-pub fn measure_hier_virtual(
-    machine: &Machine,
-    nranks: usize,
-    workers: usize,
-    opts: &SrummaOptions,
-    spec: &GemmSpec,
-) -> RunStats {
-    let topo = machine.topology(nranks);
-    let grid = crate::driver::default_grid(nranks);
-    let da = dist_a(spec, grid, false);
-    let db = dist_b(spec, grid, false);
-    let dc = dist_c(spec, grid, false);
-    let stages = HierStageSet::create(spec, grid, topo, false);
-    virtual_run(machine, nranks, workers, |comm| {
-        srumma_hier(comm, spec, &da, &db, &dc, opts, &stages);
-    })
-    .stats
-}
-
-/// Modeled **flat** run on the virtual-clock backend — the baseline the
-/// crossover study compares [`measure_hier_virtual`] against at rank
-/// counts far beyond the discrete-event simulator's reach.
-pub fn measure_flat_virtual(
-    machine: &Machine,
-    nranks: usize,
-    workers: usize,
-    opts: &SrummaOptions,
-    spec: &GemmSpec,
-) -> RunStats {
-    let grid = crate::driver::default_grid(nranks);
-    let da = dist_a(spec, grid, false);
-    let db = dist_b(spec, grid, false);
-    let dc = dist_c(spec, grid, false);
-    virtual_run(machine, nranks, workers, |comm| {
-        srumma(comm, spec, &da, &db, &dc, opts);
-    })
-    .stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::Algorithm;
     use crate::driver::serial_reference;
-    use srumma_dense::max_abs_diff;
+    use crate::layout::{dist_c, scatter_operands};
+    use crate::request::{Backend, Multiply};
+    use crate::srumma::srumma;
+    use srumma_comm::thread_run_with_topology;
+    use srumma_dense::{max_abs_diff, Matrix};
+    use srumma_model::Machine;
+
+    fn threads(rpn: usize) -> Backend<'static> {
+        Backend::Threads {
+            ranks_per_node: Some(rpn),
+        }
+    }
 
     /// The election rule and `CostMap::Staged::cost_rank` are the same
     /// formula — if they diverge, costs lie about where staged data
@@ -725,7 +616,12 @@ mod tests {
         for rpn in [1, 2, 4, 8] {
             let topo = Topology::new(8, rpn);
             let flat = flat_threads_with_topology(8, topo, &opts, &spec, &a, &b);
-            let (hier, _) = multiply_threads_hier(8, rpn, &opts, &spec, &a, &b);
+            let hier = Multiply::new(Algorithm::Srumma(opts), spec, &a, &b)
+                .hier()
+                .run(8, &threads(rpn))
+                .unwrap()
+                .c
+                .unwrap();
             assert_eq!(
                 max_abs_diff(&hier, &flat),
                 0.0,
@@ -747,9 +643,18 @@ mod tests {
         // the row's other half is off-node A demand shared by both
         // members — real staging work.
         let flat = flat_threads_with_topology(8, Topology::new(8, 2), &opts, &spec, &a, &b);
-        let (hier, res) = multiply_exec_hier(8, 2, 2, &opts, &spec, &a, &b);
-        assert_eq!(max_abs_diff(&hier, &flat), 0.0);
-        assert!(res.outputs.iter().any(|r| r.staged_panels > 0));
+        let res = Multiply::new(Algorithm::Srumma(opts), spec, &a, &b)
+            .hier()
+            .run(
+                8,
+                &Backend::Exec {
+                    workers: 2,
+                    ranks_per_node: Some(2),
+                },
+            )
+            .unwrap();
+        assert_eq!(max_abs_diff(res.c.as_ref().unwrap(), &flat), 0.0);
+        assert!(res.staged_panels.iter().any(|&s| s > 0));
     }
 
     /// Simulator backend: the numeric result is right *and* the staged
@@ -769,19 +674,18 @@ mod tests {
         let a = Matrix::random(32, 32, 45);
         let b = Matrix::random(32, 32, 46);
         let want = serial_reference(&spec, &a, &b);
-        let (flat_c, flat_stats) = crate::driver::multiply_verified(
-            &machine,
-            16,
-            &crate::api::Algorithm::srumma_default(),
-            &spec,
-            &a,
-            &b,
-        );
-        let (hier_c, hier_stats) =
-            multiply_verified_hier(&machine, 16, &SrummaOptions::default(), &spec, &a, &b);
+        let request = Multiply::new(Algorithm::srumma_default(), spec, &a, &b);
+        let flat = request.run(16, &Backend::Sim(&machine)).unwrap();
+        let hier = request
+            .clone()
+            .hier()
+            .run(16, &Backend::Sim(&machine))
+            .unwrap();
+        let (flat_c, hier_c) = (flat.c.unwrap(), hier.c.unwrap());
+        let hier_stats = hier.stats;
         assert!(max_abs_diff(&flat_c, &want) < 1e-10);
         assert_eq!(max_abs_diff(&hier_c, &flat_c), 0.0);
-        let flat_net = flat_stats.total_internode_bytes();
+        let flat_net = flat.stats.total_internode_bytes();
         let hier_net = hier_stats.total_internode_bytes();
         assert!(flat_net > 0, "flat cluster run must cross the network");
         assert!(
@@ -805,9 +709,13 @@ mod tests {
             m
         };
         let spec = GemmSpec::square(1024);
-        let opts = SrummaOptions::default();
-        let flat = measure_flat_virtual(&machine, 256, 4, &opts, &spec);
-        let hier = measure_hier_virtual(&machine, 256, 4, &opts, &spec);
+        let virt = Backend::Virtual {
+            machine: &machine,
+            workers: 4,
+        };
+        let request = Multiply::modeled(Algorithm::srumma_default(), spec);
+        let flat = request.run(256, &virt).unwrap().stats;
+        let hier = request.clone().hier().run(256, &virt).unwrap().stats;
         assert!(flat.total_internode_bytes() > 0);
         assert!(
             hier.total_internode_bytes() < flat.total_internode_bytes(),

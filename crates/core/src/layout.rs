@@ -17,6 +17,7 @@
 //! segments, so every fetched block is still used whole.
 
 use crate::options::GemmSpec;
+use crate::request::PlanError;
 use srumma_comm::dist::RankOrder;
 use srumma_comm::DistMatrix;
 use srumma_dense::{BlockMask, MatRef, Op};
@@ -265,6 +266,22 @@ pub fn b_seg_view<'a>(
     }
 }
 
+/// Check that `a` is the logical `m × k` operand and `b` the `k × n`
+/// one (the convention of [`scatter_operands`]).
+pub fn check_operands(
+    spec: &GemmSpec,
+    a: &srumma_dense::Matrix,
+    b: &srumma_dense::Matrix,
+) -> Result<(), PlanError> {
+    for (operand, mat, want) in [('A', a, (spec.m, spec.k)), ('B', b, (spec.k, spec.n))] {
+        let got = (mat.rows(), mat.cols());
+        if got != want {
+            return Err(PlanError::OperandShape { operand, got, want });
+        }
+    }
+    Ok(())
+}
+
 /// Scatter logical matrices into their stored distributions: `a` is the
 /// logical `m × k` operand (untransposed), and likewise `b` (`k × n`).
 /// Handles the storage transposition for the `T` cases.
@@ -275,8 +292,9 @@ pub fn scatter_operands(
     a: &srumma_dense::Matrix,
     b: &srumma_dense::Matrix,
 ) {
-    assert_eq!((a.rows(), a.cols()), (spec.m, spec.k), "A must be m x k");
-    assert_eq!((b.rows(), b.cols()), (spec.k, spec.n), "B must be k x n");
+    if let Err(e) = check_operands(spec, a, b) {
+        panic!("{e}");
+    }
     match spec.transa {
         Op::N => dist_a.scatter(a),
         Op::T => dist_a.scatter(&a.transposed()),

@@ -18,19 +18,32 @@
 //! experiments on the four modeled platforms) and on real host threads
 //! (genuine parallel speedup; see the `quickstart` example).
 //!
+//! ## One request
+//!
+//! Every multiply is one [`request::Multiply`] — algorithm, spec,
+//! operands (or none, for a shape-only modeled run), block-sparsity
+//! masks, a fault plan, hierarchical staging, replication and tracing —
+//! run on one [`request::Backend`] (`Sim`, `Virtual`, `Threads`,
+//! `Exec`). Unsupported combinations and invalid input return a typed
+//! [`request::PlanError`]; [`request::SUPPORTED`] lists the
+//! combinations that have a driver. Streams of small multiplies use the
+//! [`batch`] driver.
+//!
 //! ## Quick start
 //!
 //! ```
-//! use srumma_core::{Algorithm, GemmSpec};
-//! use srumma_core::driver::{multiply_threads, serial_reference};
+//! use srumma_core::driver::serial_reference;
+//! use srumma_core::{Algorithm, Backend, GemmSpec, Multiply};
 //! use srumma_dense::Matrix;
 //!
 //! let spec = GemmSpec::square(64);
 //! let a = Matrix::random(64, 64, 1);
 //! let b = Matrix::random(64, 64, 2);
-//! let (c, _secs) = multiply_threads(4, &Algorithm::srumma_default(), &spec, &a, &b);
+//! let out = Multiply::new(Algorithm::srumma_default(), spec, &a, &b)
+//!     .run(4, &Backend::threads())
+//!     .unwrap();
 //! let expect = serial_reference(&spec, &a, &b);
-//! assert!(srumma_dense::max_abs_diff(&c, &expect) < 1e-9);
+//! assert!(srumma_dense::max_abs_diff(&out.c.unwrap(), &expect) < 1e-9);
 //! ```
 
 pub mod api;
@@ -43,6 +56,7 @@ pub mod layout;
 pub mod memory;
 pub mod options;
 pub mod repl;
+pub mod request;
 pub mod srumma;
 pub mod summa;
 pub mod taskorder;
@@ -55,16 +69,10 @@ pub use batch::{
 };
 pub use chaos::{ChaosRecovery, ChaosSrummaRankTask};
 pub use driver::SparseMasks;
-pub use hier::{
-    multiply_exec_hier, multiply_threads_hier, multiply_verified_hier, srumma_hier, HierRankTask,
-    HierReport, HierStageSet, HierStages,
-};
+pub use hier::{srumma_hier, HierRankTask, HierReport, HierStageSet, HierStages};
 pub use options::{GemmSpec, ReplicationFactor, ShmemFlavor, SrummaOptions, TunerConfig};
-pub use repl::{
-    multiply_exec_replicated, multiply_threads_replicated, multiply_threads_replicated_hier,
-    multiply_verified_replicated, resolve_factor, srumma_replicated, srumma_replicated_hier,
-    ReplReport, ReplSet,
-};
+pub use repl::{resolve_factor, srumma_replicated, ReplReport, ReplSet};
+pub use request::{Backend, Multiply, Output, PlanError};
 pub use srumma::{srumma as srumma_gemm, SrummaMachine, SrummaRankTask, SrummaReport};
 pub use summa::SummaOptions;
 pub use tune::{

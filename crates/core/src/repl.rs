@@ -27,15 +27,12 @@ use crate::hier::{srumma_hier, HierStageSet};
 use crate::layout::{dist_a, dist_b, dist_c, scatter_operands};
 use crate::memory::replicated_arena_footprint;
 use crate::options::{GemmSpec, ReplicationFactor, SrummaOptions};
+use crate::request::PlanError;
 use crate::srumma::{srumma, SrummaReport};
-use srumma_comm::{
-    exec_run_with_topology, sim_run, thread_run_with_topology, virtual_run, Comm, CostMap,
-    DistMatrix, SimOptions, SubComm,
-};
+use srumma_comm::{Comm, CostMap, DistMatrix, SubComm};
 use srumma_dense::mask::chunk_len;
 use srumma_dense::Matrix;
-use srumma_model::{Machine, ProcGrid, Topology};
-use srumma_sim::RunStats;
+use srumma_model::{ProcGrid, Topology};
 
 /// Whether `c` teams are admissible for `nranks` ranks under `topo`:
 /// `c` divides the rank count, teams align with whole SMP nodes, and
@@ -52,7 +49,7 @@ pub fn admissible_factor(nranks: usize, topo: Topology, k: usize, c: usize) -> b
 
 /// Resolve a [`ReplicationFactor`] to a concrete `c`.
 ///
-/// `Fixed` panics on an inadmissible factor; `Auto` scans downward from
+/// `Fixed` rejects an inadmissible factor; `Auto` scans downward from
 /// the largest admissible factor to the first whose
 /// [`replicated_arena_footprint`] fits the budget, falling back to
 /// `c = 1` (always admissible) if even the flat footprint is over.
@@ -62,26 +59,18 @@ pub fn resolve_factor(
     topo: Topology,
     spec: &GemmSpec,
     opts: &SrummaOptions,
-) -> usize {
+) -> Result<usize, PlanError> {
     match factor {
-        ReplicationFactor::One => 1,
-        ReplicationFactor::Fixed(c) => {
-            assert!(
-                admissible_factor(nranks, topo, spec.k, c),
-                "replication factor {c} inadmissible for {nranks} ranks \
-                 ({} per node, k = {})",
-                topo.ranks_per_node(),
-                spec.k
-            );
-            c
-        }
-        ReplicationFactor::Auto { budget_bytes } => (2..=nranks)
+        ReplicationFactor::One => Ok(1),
+        ReplicationFactor::Fixed(c) if admissible_factor(nranks, topo, spec.k, c) => Ok(c),
+        ReplicationFactor::Fixed(factor) => Err(PlanError::InadmissibleFactor { factor, nranks }),
+        ReplicationFactor::Auto { budget_bytes } => Ok((2..=nranks)
             .rev()
             .filter(|&c| admissible_factor(nranks, topo, spec.k, c))
             .find(|&c| {
                 replicated_arena_footprint(spec, nranks, c, opts).buffer_bytes <= budget_bytes
             })
-            .unwrap_or(1),
+            .unwrap_or(1)),
     }
 }
 
@@ -184,7 +173,7 @@ impl ReplSet {
 
     /// Per-team hierarchical stage sets under the *global* topology
     /// `topo` — team `l`'s set covers its rank window and its `k`-slice
-    /// shapes, enabling [`srumma_replicated_hier`]. Replication
+    /// shapes, enabling the staged [`srumma_replicated`]. Replication
     /// admissibility already guarantees every window covers whole
     /// nodes.
     pub fn hier_stage_sets(&self, topo: Topology, real: bool) -> Vec<HierStageSet> {
@@ -213,11 +202,18 @@ pub struct ReplReport {
 }
 
 /// Run one rank of a replicated multiply: the team-local SRUMMA sweep
-/// over this team's `k`-slice, then the serialized cross-team
-/// accumulation into team 0's C. All ranks call collectively;
-/// straight-line symmetric code (every rank executes the same barrier
-/// sequence), so it runs unchanged on all backends.
-pub fn srumma_replicated<C: Comm>(comm: &mut C, set: &ReplSet, opts: &SrummaOptions) -> ReplReport {
+/// over this team's `k`-slice — the two-level staged schedule of
+/// [`crate::hier`] inside the team's window when `stage_sets` (from
+/// [`ReplSet::hier_stage_sets`]) is non-empty — then the serialized
+/// cross-team accumulation into team 0's C. All ranks call
+/// collectively; straight-line symmetric code (every rank executes the
+/// same barrier sequence), so it runs unchanged on all backends.
+pub fn srumma_replicated<C: Comm>(
+    comm: &mut C,
+    set: &ReplSet,
+    stage_sets: &[HierStageSet],
+    opts: &SrummaOptions,
+) -> ReplReport {
     let me = comm.rank();
     let team = me / set.team_ranks;
     let base = team * set.team_ranks;
@@ -225,7 +221,11 @@ pub fn srumma_replicated<C: Comm>(comm: &mut C, set: &ReplSet, opts: &SrummaOpti
     let mats = &set.teams[team];
     let report = {
         let mut sub = SubComm::new(comm, base, set.team_ranks, set.team_topo);
-        srumma(&mut sub, &mats.spec, &mats.da, &mats.db, &mats.dc, opts)
+        let (spec, a, b, c) = (&mats.spec, &mats.da, &mats.db, &mats.dc);
+        match stage_sets.get(team) {
+            Some(stages) => srumma_hier(&mut sub, spec, a, b, c, opts, stages).report,
+            None => srumma(&mut sub, spec, a, b, c, opts),
+        }
     };
     // srumma ends with a (forwarded, machine-wide) barrier: every
     // team's partial product is complete here. Fold teams 1..c into
@@ -242,178 +242,38 @@ pub fn srumma_replicated<C: Comm>(comm: &mut C, set: &ReplSet, opts: &SrummaOpti
     ReplReport { team, report }
 }
 
-/// Run one rank of a replicated **hierarchical** multiply: like
-/// [`srumma_replicated`], but each team runs the two-level staged
-/// schedule of [`crate::hier`] inside its window — the combined
-/// "hierarchical + replicated" configuration of the crossover study.
-/// `stage_sets` must come from [`ReplSet::hier_stage_sets`] for the
-/// same set.
-pub fn srumma_replicated_hier<C: Comm>(
-    comm: &mut C,
-    set: &ReplSet,
-    stage_sets: &[HierStageSet],
-    opts: &SrummaOptions,
-) -> ReplReport {
-    let me = comm.rank();
-    let team = me / set.team_ranks;
-    let base = team * set.team_ranks;
-    let slot = me - base;
-    let mats = &set.teams[team];
-    let report = {
-        let mut sub = SubComm::new(comm, base, set.team_ranks, set.team_topo);
-        srumma_hier(
-            &mut sub,
-            &mats.spec,
-            &mats.da,
-            &mats.db,
-            &mats.dc,
-            opts,
-            &stage_sets[team],
-        )
-        .report
-    };
-    let mut buf = Vec::new();
-    for l in 1..set.c {
-        if team == l {
-            mats.dc.copy_block_into(slot, &mut buf);
-            comm.acc(&set.teams[0].dc, slot, 1.0, &buf);
-        }
-        comm.barrier();
-    }
-    ReplReport { team, report }
-}
-
-/// Replicated hierarchical multiply on real host threads. Returns
-/// `(C, resolved c)`.
-pub fn multiply_threads_replicated_hier(
-    nranks: usize,
-    ranks_per_node: usize,
-    factor: ReplicationFactor,
-    opts: &SrummaOptions,
-    spec: &GemmSpec,
-    a: &Matrix,
-    b: &Matrix,
-) -> (Matrix, usize) {
-    let topo = Topology::new(nranks, ranks_per_node);
-    let c = resolve_factor(factor, nranks, topo, spec, opts);
-    let set = ReplSet::create(spec, nranks, topo, c, true, Some((a, b)));
-    let stage_sets = set.hier_stage_sets(topo, true);
-    thread_run_with_topology(nranks, topo, |comm| {
-        srumma_replicated_hier(comm, &set, &stage_sets, opts);
-    });
-    (set.gather(), c)
-}
-
-/// Modeled replicated hierarchical run on the virtual-clock backend —
-/// the combined variant of the crossover study. Returns
-/// `(stats, resolved c)`.
-pub fn measure_replicated_hier_virtual(
-    machine: &Machine,
-    nranks: usize,
-    workers: usize,
-    factor: ReplicationFactor,
-    opts: &SrummaOptions,
-    spec: &GemmSpec,
-) -> (RunStats, usize) {
-    let topo = machine.topology(nranks);
-    let c = resolve_factor(factor, nranks, topo, spec, opts);
-    let set = ReplSet::create(spec, nranks, topo, c, false, None);
-    let stage_sets = set.hier_stage_sets(topo, false);
-    let stats = virtual_run(machine, nranks, workers, |comm| {
-        srumma_replicated_hier(comm, &set, &stage_sets, opts);
-    })
-    .stats;
-    (stats, c)
-}
-
-/// Replicated multiply on real host threads under an emulated cluster
-/// topology. Returns `(C, resolved c)`.
-pub fn multiply_threads_replicated(
-    nranks: usize,
-    ranks_per_node: usize,
-    factor: ReplicationFactor,
-    opts: &SrummaOptions,
-    spec: &GemmSpec,
-    a: &Matrix,
-    b: &Matrix,
-) -> (Matrix, usize) {
-    let topo = Topology::new(nranks, ranks_per_node);
-    let c = resolve_factor(factor, nranks, topo, spec, opts);
-    let set = ReplSet::create(spec, nranks, topo, c, true, Some((a, b)));
-    thread_run_with_topology(nranks, topo, |comm| {
-        srumma_replicated(comm, &set, opts);
-    });
-    (set.gather(), c)
-}
-
-/// Replicated multiply on the work-stealing executor (gated blocking
-/// rank bodies). Returns `(C, resolved c)`.
-#[allow(clippy::too_many_arguments)]
-pub fn multiply_exec_replicated(
-    nranks: usize,
-    workers: usize,
-    ranks_per_node: usize,
-    factor: ReplicationFactor,
-    opts: &SrummaOptions,
-    spec: &GemmSpec,
-    a: &Matrix,
-    b: &Matrix,
-) -> (Matrix, usize) {
-    let topo = Topology::new(nranks, ranks_per_node);
-    let c = resolve_factor(factor, nranks, topo, spec, opts);
-    let set = ReplSet::create(spec, nranks, topo, c, true, Some((a, b)));
-    exec_run_with_topology(nranks, workers, topo, |comm| {
-        srumma_replicated(comm, &set, opts);
-    });
-    (set.gather(), c)
-}
-
-/// Replicated multiply on real data under the discrete-event simulator,
-/// topology from the machine profile. Returns `(C, stats, resolved c)`.
-pub fn multiply_verified_replicated(
-    machine: &Machine,
-    nranks: usize,
-    factor: ReplicationFactor,
-    opts: &SrummaOptions,
-    spec: &GemmSpec,
-    a: &Matrix,
-    b: &Matrix,
-) -> (Matrix, RunStats, usize) {
-    let topo = machine.topology(nranks);
-    let c = resolve_factor(factor, nranks, topo, spec, opts);
-    let set = ReplSet::create(spec, nranks, topo, c, true, Some((a, b)));
-    let sim_opts = SimOptions::new(machine.clone(), nranks);
-    let res = sim_run(&sim_opts, |comm| {
-        srumma_replicated(comm, &set, opts);
-    });
-    (set.gather(), res.stats, c)
-}
-
-/// Modeled replicated run on the per-rank virtual-clock backend — the
-/// 64k-rank path. Returns `(stats, resolved c)`.
-pub fn measure_replicated_virtual(
-    machine: &Machine,
-    nranks: usize,
-    workers: usize,
-    factor: ReplicationFactor,
-    opts: &SrummaOptions,
-    spec: &GemmSpec,
-) -> (RunStats, usize) {
-    let topo = machine.topology(nranks);
-    let c = resolve_factor(factor, nranks, topo, spec, opts);
-    let set = ReplSet::create(spec, nranks, topo, c, false, None);
-    let stats = virtual_run(machine, nranks, workers, |comm| {
-        srumma_replicated(comm, &set, opts);
-    })
-    .stats;
-    (stats, c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::Algorithm;
     use crate::driver::serial_reference;
+    use crate::request::{Backend, Multiply, Output};
     use srumma_dense::{max_abs_diff, Op};
+    use srumma_model::Machine;
+
+    /// Run a replicated multiply of `a·b` on `backend`.
+    fn replicated(
+        nranks: usize,
+        backend: &Backend,
+        factor: ReplicationFactor,
+        hier: bool,
+        opts: &SrummaOptions,
+        spec: &GemmSpec,
+        ab: Option<(&Matrix, &Matrix)>,
+    ) -> Output {
+        let request = Multiply {
+            operands: ab,
+            hier,
+            ..Multiply::modeled(Algorithm::Srumma(*opts), *spec).replicated(factor)
+        };
+        request.run(nranks, backend).unwrap()
+    }
+
+    fn threads(rpn: usize) -> Backend<'static> {
+        Backend::Threads {
+            ranks_per_node: Some(rpn),
+        }
+    }
 
     /// A matrix of small integers: every partial product and sum is
     /// exact in f64, so any summation order gives the bitwise-identical
@@ -470,7 +330,8 @@ mod tests {
             topo,
             &spec,
             &opts,
-        );
+        )
+        .unwrap();
         assert_eq!(c, 8);
         // A zero budget falls back to flat.
         let c = resolve_factor(
@@ -479,7 +340,8 @@ mod tests {
             topo,
             &spec,
             &opts,
-        );
+        )
+        .unwrap();
         assert_eq!(c, 1);
         // A budget between the c=2 and c=4 footprints picks c=2.
         let f2 = replicated_arena_footprint(&spec, 16, 2, &opts).buffer_bytes;
@@ -491,7 +353,8 @@ mod tests {
             topo,
             &spec,
             &opts,
-        );
+        )
+        .unwrap();
         assert_eq!(c, 2);
     }
 
@@ -506,15 +369,16 @@ mod tests {
             let b = int_matrix(spec.k, spec.n, 8);
             let want = expected(&spec, &a, &b);
             for c in [1usize, 2, 4] {
-                let (got, used) = multiply_threads_replicated(
+                let out = replicated(
                     8,
-                    2,
+                    &threads(2),
                     ReplicationFactor::Fixed(c),
+                    false,
                     &opts,
                     &spec,
-                    &a,
-                    &b,
+                    Some((&a, &b)),
                 );
+                let (got, used) = (out.c.unwrap(), out.replication);
                 assert_eq!(used, c);
                 assert_eq!(
                     max_abs_diff(&got, &want),
@@ -536,15 +400,17 @@ mod tests {
         let want = expected(&spec, &a, &b);
         let tol = 1e-13 * spec.k as f64;
         for c in [2usize, 4] {
-            let (got, _) = multiply_threads_replicated(
+            let got = replicated(
                 8,
-                2,
+                &threads(2),
                 ReplicationFactor::Fixed(c),
+                false,
                 &opts_default(),
                 &spec,
-                &a,
-                &b,
-            );
+                Some((&a, &b)),
+            )
+            .c
+            .unwrap();
             assert!(max_abs_diff(&got, &want) < tol, "c={c}");
         }
     }
@@ -563,15 +429,16 @@ mod tests {
         let b = int_matrix(24, 24, 14);
         let want = expected(&spec, &a, &b);
         for c in [1usize, 2] {
-            let (got, used) = multiply_threads_replicated_hier(
+            let out = replicated(
                 8,
-                2,
+                &threads(2),
                 ReplicationFactor::Fixed(c),
+                true,
                 &opts_default(),
                 &spec,
-                &a,
-                &b,
+                Some((&a, &b)),
             );
+            let (got, used) = (out.c.unwrap(), out.replication);
             assert_eq!(used, c);
             assert_eq!(max_abs_diff(&got, &want), 0.0, "c={c}");
         }
@@ -584,16 +451,19 @@ mod tests {
         let a = int_matrix(24, 24, 9);
         let b = int_matrix(24, 24, 10);
         let want = expected(&spec, &a, &b);
-        let (got, c) = multiply_exec_replicated(
+        let out = replicated(
             8,
-            2,
-            2,
+            &Backend::Exec {
+                workers: 2,
+                ranks_per_node: Some(2),
+            },
             ReplicationFactor::Fixed(2),
+            false,
             &opts_default(),
             &spec,
-            &a,
-            &b,
+            Some((&a, &b)),
         );
+        let (got, c) = (out.c.unwrap(), out.replication);
         assert_eq!(c, 2);
         assert_eq!(max_abs_diff(&got, &want), 0.0);
     }
@@ -610,15 +480,16 @@ mod tests {
         let a = int_matrix(24, 24, 11);
         let b = int_matrix(24, 24, 12);
         let want = expected(&spec, &a, &b);
-        let (got, stats, c) = multiply_verified_replicated(
-            &machine,
+        let out = replicated(
             8,
+            &Backend::Sim(&machine),
             ReplicationFactor::Fixed(2),
+            false,
             &opts_default(),
             &spec,
-            &a,
-            &b,
+            Some((&a, &b)),
         );
+        let (got, stats, c) = (out.c.unwrap(), out.stats, out.replication);
         assert_eq!(c, 2);
         assert_eq!(max_abs_diff(&got, &want), 0.0);
         assert!(stats.makespan > 0.0);
@@ -635,14 +506,19 @@ mod tests {
             m
         };
         let spec = GemmSpec::square(1024);
-        let (stats, c) = measure_replicated_virtual(
-            &machine,
+        let out = replicated(
             256,
-            4,
+            &Backend::Virtual {
+                machine: &machine,
+                workers: 4,
+            },
             ReplicationFactor::Fixed(4),
+            false,
             &opts_default(),
             &spec,
+            None,
         );
+        let (stats, c) = (out.stats, out.replication);
         assert_eq!(c, 4);
         assert!(stats.makespan > 0.0);
         assert_eq!(stats.ranks.len(), 256);

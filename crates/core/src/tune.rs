@@ -884,9 +884,11 @@ pub fn multiply_autotuned(
     AutotuneDecision,
 ) {
     let decision = autotune_decision(nranks);
-    let mut opts = SrummaOptions::from_profile();
-    opts.double_buffer = true;
-    opts.prefetch_depth = decision.prefetch_depth.max(1);
+    let opts = SrummaOptions {
+        double_buffer: true,
+        prefetch_depth: decision.prefetch_depth.max(1),
+        ..SrummaOptions::from_profile()
+    };
     let (c, run) = multiply_exec(
         nranks,
         decision.workers,

@@ -2,15 +2,20 @@
 //! case × square and rectangular shapes × both backends, checked
 //! against the serial kernel.
 
-use srumma_core::driver::{multiply_threads, multiply_verified, serial_reference};
-use srumma_core::{Algorithm, GemmSpec, ShmemFlavor, SrummaOptions, SummaOptions};
+use srumma_core::driver::{multiply_threads, serial_reference};
+use srumma_core::{
+    Algorithm, Backend, GemmSpec, Multiply, ShmemFlavor, SrummaOptions, SummaOptions,
+};
 use srumma_dense::{max_abs_diff, Matrix, Op};
 use srumma_model::Machine;
 
 fn check_sim(machine: &Machine, nranks: usize, alg: &Algorithm, spec: &GemmSpec, seed: u64) {
     let a = Matrix::random(spec.m, spec.k, seed);
     let b = Matrix::random(spec.k, spec.n, seed + 1);
-    let (c, _stats) = multiply_verified(machine, nranks, alg, spec, &a, &b);
+    let out = Multiply::new(*alg, *spec, &a, &b)
+        .run(nranks, &Backend::Sim(machine))
+        .unwrap();
+    let (c, _stats) = (out.c.unwrap(), out.stats);
     let expect = serial_reference(spec, &a, &b);
     let err = max_abs_diff(&c, &expect);
     assert!(
@@ -180,8 +185,9 @@ fn repeated_runs_are_deterministic_in_time() {
     let spec = GemmSpec::square(32);
     let a = Matrix::random(32, 32, 1);
     let b = Matrix::random(32, 32, 2);
-    let (_, s1) = multiply_verified(&machine, 8, &Algorithm::srumma_default(), &spec, &a, &b);
-    let (_, s2) = multiply_verified(&machine, 8, &Algorithm::srumma_default(), &spec, &a, &b);
+    let request = Multiply::new(Algorithm::srumma_default(), spec, &a, &b);
+    let s1 = request.run(8, &Backend::Sim(&machine)).unwrap().stats;
+    let s2 = request.run(8, &Backend::Sim(&machine)).unwrap().stats;
     assert_eq!(s1.makespan, s2.makespan);
     assert_eq!(s1.final_times, s2.final_times);
 }

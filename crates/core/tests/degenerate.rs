@@ -4,8 +4,8 @@
 //! is empty still sweeps A/B panels).
 
 use srumma_comm::Comm;
-use srumma_core::driver::{multiply_threads, multiply_verified, serial_reference};
-use srumma_core::{Algorithm, GemmSpec};
+use srumma_core::driver::{multiply_threads, serial_reference};
+use srumma_core::{Algorithm, Backend, GemmSpec, Multiply};
 use srumma_dense::{max_abs_diff, Matrix, Op};
 use srumma_model::Machine;
 
@@ -64,7 +64,11 @@ fn k_zero_is_a_scaled_copy_of_c() {
     let b = Matrix::random(0, 5, 6);
     let expect = serial_reference(&spec, &a, &b);
     for alg in [Algorithm::srumma_default(), Algorithm::summa_default()] {
-        let (c, _) = multiply_verified(&machine, 4, &alg, &spec, &a, &b);
+        let c = Multiply::new(alg, spec, &a, &b)
+            .run(4, &Backend::Sim(&machine))
+            .unwrap()
+            .c
+            .unwrap();
         assert!(max_abs_diff(&c, &expect) < 1e-9, "{} k=0", alg.name());
     }
 }
@@ -78,7 +82,11 @@ fn degenerate_shapes_under_the_simulator() {
         let b = Matrix::random(k, n, 2);
         let expect = serial_reference(&spec, &a, &b);
         for alg in [Algorithm::srumma_default(), Algorithm::summa_default()] {
-            let (c, _) = multiply_verified(&machine, 8, &alg, &spec, &a, &b);
+            let c = Multiply::new(alg, spec, &a, &b)
+                .run(8, &Backend::Sim(&machine))
+                .unwrap()
+                .c
+                .unwrap();
             assert!(
                 max_abs_diff(&c, &expect) < 1e-9,
                 "{} {m}x{n}x{k}",

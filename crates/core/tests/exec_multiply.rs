@@ -3,8 +3,8 @@
 //! SRUMMA runs as polled state machines; SUMMA and Cannon run their
 //! unmodified blocking code on loan-gated threads.
 
-use srumma_core::driver::{multiply_exec, multiply_exec_traced, serial_reference};
-use srumma_core::{Algorithm, GemmSpec, ShmemFlavor, SrummaOptions};
+use srumma_core::driver::{multiply_exec, serial_reference};
+use srumma_core::{Algorithm, Backend, GemmSpec, Multiply, ShmemFlavor, SrummaOptions};
 use srumma_dense::{max_abs_diff, Matrix, Op};
 
 fn check_exec(alg: &Algorithm, spec: &GemmSpec, nranks: usize, workers: usize) {
@@ -77,8 +77,12 @@ fn traced_exec_run_reports_scheduling_metrics() {
     let spec = GemmSpec::square(32);
     let a = Matrix::random(32, 32, 3);
     let b = Matrix::random(32, 32, 4);
-    let (c, res) = multiply_exec_traced(16, 2, &Algorithm::srumma_default(), &spec, &a, &b);
-    assert!(max_abs_diff(&c, &serial_reference(&spec, &a, &b)) < 1e-9);
+    let res = Multiply::new(Algorithm::srumma_default(), spec, &a, &b)
+        .traced()
+        .run(16, &Backend::exec(2))
+        .unwrap();
+    let c = res.c.as_ref().unwrap();
+    assert!(max_abs_diff(c, &serial_reference(&spec, &a, &b)) < 1e-9);
     let exec = res.stats.exec.unwrap();
     assert_eq!(exec.workers, 2);
     assert!(exec.schedules() >= 16);

@@ -17,11 +17,7 @@
 
 use srumma_core::driver::{multiply_threads, serial_reference};
 use srumma_core::repl::admissible_factor;
-use srumma_core::{
-    multiply_exec_hier, multiply_exec_replicated, multiply_threads_hier,
-    multiply_threads_replicated, multiply_threads_replicated_hier, multiply_verified_hier,
-    multiply_verified_replicated, Algorithm, GemmSpec, ReplicationFactor, SrummaOptions,
-};
+use srumma_core::{Algorithm, Backend, GemmSpec, Multiply, ReplicationFactor, SrummaOptions};
 use srumma_dense::{max_abs_diff, Matrix, Op, Rng};
 use srumma_model::machine::RanksPerDomain;
 use srumma_model::{Machine, Topology};
@@ -68,6 +64,13 @@ fn random_divisor(rng: &mut Rng, n: usize) -> usize {
     divs[rng.below(divs.len())]
 }
 
+/// Threads emulating nodes of `rpn` ranks.
+fn threads(rpn: usize) -> Backend<'static> {
+    Backend::Threads {
+        ranks_per_node: Some(rpn),
+    }
+}
+
 /// A random admissible replication factor for `(nranks, rpn, k)`, or
 /// `None` when only `c = 1` qualifies.
 fn random_factor(rng: &mut Rng, nranks: usize, rpn: usize, k: usize) -> Option<usize> {
@@ -97,7 +100,12 @@ fn hier_threads_matches_flat_bitwise_on_integers() {
         let a = int_matrix(spec.m, spec.k, 900 + 2 * case);
         let b = int_matrix(spec.k, spec.n, 901 + 2 * case);
         let (flat, _) = multiply_threads(nranks, &alg, &spec, &a, &b);
-        let (hier, _) = multiply_threads_hier(nranks, rpn, &opts, &spec, &a, &b);
+        let hier = Multiply::new(Algorithm::Srumma(opts), spec, &a, &b)
+            .hier()
+            .run(nranks, &threads(rpn))
+            .unwrap()
+            .c
+            .unwrap();
         assert_eq!(
             max_abs_diff(&hier, &flat),
             0.0,
@@ -129,11 +137,15 @@ fn replicated_threads_matches_flat_bitwise_on_integers() {
         // cover whole node groups (`HierStageSet::create_window`);
         // `admissible_factor` only demands that when nodes are real
         // (nnodes > 1), so re-check before taking the hier path.
-        let (repl, got_c) = if rng.chance(0.5) && (nranks / c).is_multiple_of(rpn) {
-            multiply_threads_replicated_hier(nranks, rpn, factor, &opts, &spec, &a, &b)
+        let request = Multiply::new(Algorithm::Srumma(opts), spec, &a, &b).replicated(factor);
+        let out = if rng.chance(0.5) && (nranks / c).is_multiple_of(rpn) {
+            request.hier()
         } else {
-            multiply_threads_replicated(nranks, rpn, factor, &opts, &spec, &a, &b)
-        };
+            request
+        }
+        .run(nranks, &threads(rpn))
+        .unwrap();
+        let (repl, got_c) = (out.c.unwrap(), out.replication);
         assert_eq!(got_c, c, "case {case}");
         assert_eq!(
             max_abs_diff(&repl, &flat),
@@ -168,7 +180,12 @@ fn hier_and_replicated_float_within_k_scaled_tolerance() {
                 want[(i, j)] *= alpha;
             }
         }
-        let (hier, _) = multiply_threads_hier(nranks, rpn, &opts, &spec, &a, &b);
+        let hier = Multiply::new(Algorithm::Srumma(opts), spec, &a, &b)
+            .hier()
+            .run(nranks, &threads(rpn))
+            .unwrap()
+            .c
+            .unwrap();
         assert!(
             max_abs_diff(&hier, &flat) < tol && max_abs_diff(&hier, &want) < tol,
             "case {case}: hier rpn={rpn} k={k} diff={:e}",
@@ -176,7 +193,12 @@ fn hier_and_replicated_float_within_k_scaled_tolerance() {
         );
         if let Some(c) = random_factor(&mut rng, nranks, rpn, spec.k) {
             let factor = ReplicationFactor::Fixed(c);
-            let (repl, _) = multiply_threads_replicated(nranks, rpn, factor, &opts, &spec, &a, &b);
+            let repl = Multiply::new(Algorithm::Srumma(opts), spec, &a, &b)
+                .replicated(factor)
+                .run(nranks, &threads(rpn))
+                .unwrap()
+                .c
+                .unwrap();
             assert!(
                 max_abs_diff(&repl, &flat) < tol && max_abs_diff(&repl, &want) < tol,
                 "case {case}: repl c={c} k={k} diff={:e}",
@@ -202,23 +224,28 @@ fn exec_oversubscribed_pools_match_flat_bitwise() {
         let a = int_matrix(spec.m, spec.k, 990 + 2 * case);
         let b = int_matrix(spec.k, spec.n, 991 + 2 * case);
         let (flat, _) = multiply_threads(nranks, &alg, &spec, &a, &b);
-        let (hier, _res) = multiply_exec_hier(nranks, workers, rpn, &opts, &spec, &a, &b);
+        let exec = Backend::Exec {
+            workers,
+            ranks_per_node: Some(rpn),
+        };
+        let hier = Multiply::new(Algorithm::Srumma(opts), spec, &a, &b)
+            .hier()
+            .run(nranks, &exec)
+            .unwrap()
+            .c
+            .unwrap();
         assert_eq!(
             max_abs_diff(&hier, &flat),
             0.0,
             "case {case}: exec hier nranks={nranks} workers={workers} rpn={rpn}"
         );
         if let Some(c) = random_factor(&mut rng, nranks, rpn, spec.k) {
-            let (repl, _) = multiply_exec_replicated(
-                nranks,
-                workers,
-                rpn,
-                ReplicationFactor::Fixed(c),
-                &opts,
-                &spec,
-                &a,
-                &b,
-            );
+            let repl = Multiply::new(Algorithm::Srumma(opts), spec, &a, &b)
+                .replicated(ReplicationFactor::Fixed(c))
+                .run(nranks, &exec)
+                .unwrap()
+                .c
+                .unwrap();
             assert_eq!(
                 max_abs_diff(&repl, &flat),
                 0.0,
@@ -248,22 +275,23 @@ fn sim_backend_matches_flat_bitwise_on_integers() {
         let a = int_matrix(spec.m, spec.k, 1020 + 2 * case);
         let b = int_matrix(spec.k, spec.n, 1021 + 2 * case);
         let (flat, _) = multiply_threads(nranks, &alg, &spec, &a, &b);
-        let (hier, _stats) = multiply_verified_hier(&machine, nranks, &opts, &spec, &a, &b);
+        let hier = Multiply::new(Algorithm::Srumma(opts), spec, &a, &b)
+            .hier()
+            .run(nranks, &Backend::Sim(&machine))
+            .unwrap()
+            .c
+            .unwrap();
         assert_eq!(
             max_abs_diff(&hier, &flat),
             0.0,
             "case {case}: sim hier nranks={nranks} rpn={rpn}"
         );
         if let Some(c) = random_factor(&mut rng, nranks, rpn, spec.k) {
-            let (repl, _stats, got_c) = multiply_verified_replicated(
-                &machine,
-                nranks,
-                ReplicationFactor::Fixed(c),
-                &opts,
-                &spec,
-                &a,
-                &b,
-            );
+            let out = Multiply::new(Algorithm::Srumma(opts), spec, &a, &b)
+                .replicated(ReplicationFactor::Fixed(c))
+                .run(nranks, &Backend::Sim(&machine))
+                .unwrap();
+            let (repl, got_c) = (out.c.unwrap(), out.replication);
             assert_eq!(got_c, c, "case {case}");
             assert_eq!(
                 max_abs_diff(&repl, &flat),
@@ -288,27 +316,38 @@ fn degenerate_groups_and_factors_match_flat_bitwise() {
     let b = int_matrix(spec.k, spec.n, 78);
     let (flat, _) = multiply_threads(nranks, &alg, &spec, &a, &b);
     for rpn in [1usize, nranks] {
-        let (hier, _) = multiply_threads_hier(nranks, rpn, &opts, &spec, &a, &b);
+        let hier = Multiply::new(Algorithm::Srumma(opts), spec, &a, &b)
+            .hier()
+            .run(nranks, &threads(rpn))
+            .unwrap()
+            .c
+            .unwrap();
         assert_eq!(max_abs_diff(&hier, &flat), 0.0, "threads hier rpn={rpn}");
-        let (ehier, res) = multiply_exec_hier(nranks, 2, rpn, &opts, &spec, &a, &b);
+        let res = Multiply::new(Algorithm::Srumma(opts), spec, &a, &b)
+            .hier()
+            .run(
+                nranks,
+                &Backend::Exec {
+                    workers: 2,
+                    ranks_per_node: Some(rpn),
+                },
+            )
+            .unwrap();
+        let ehier = res.c.unwrap();
         assert_eq!(max_abs_diff(&ehier, &flat), 0.0, "exec hier rpn={rpn}");
         // No group can share an off-node panel at either extreme.
         assert!(
-            res.outputs.iter().all(|r| r.staged_panels == 0),
+            res.staged_panels.iter().all(|&s| s == 0),
             "rpn={rpn} staged panels in a degenerate topology"
         );
     }
     // Whole-machine node => single domain => every c | nranks (≤ k) is
     // admissible, including single-rank teams.
-    let (repl, got_c) = multiply_threads_replicated(
-        nranks,
-        nranks,
-        ReplicationFactor::Fixed(nranks),
-        &opts,
-        &spec,
-        &a,
-        &b,
-    );
+    let out = Multiply::new(Algorithm::Srumma(opts), spec, &a, &b)
+        .replicated(ReplicationFactor::Fixed(nranks))
+        .run(nranks, &threads(nranks))
+        .unwrap();
+    let (repl, got_c) = (out.c.unwrap(), out.replication);
     assert_eq!(got_c, nranks);
     assert_eq!(max_abs_diff(&repl, &flat), 0.0, "full replication c=nranks");
 }

@@ -9,10 +9,8 @@
 //! [`Json`] tree; it does not aim to be fast or to validate every dark
 //! corner of the grammar, just to round-trip what the writer emits.
 //!
-//! (This module started life in `srumma-bench`; it moved down to the
-//! trace crate so `srumma-core` — which cannot depend on the bench
-//! harness — can parse host profiles. `srumma_bench::jsonin` re-exports
-//! it unchanged.)
+//! It lives in the trace crate so both `srumma-core` (host profiles)
+//! and the bench harness (`bench_diff`) can parse what they write.
 
 use std::collections::BTreeMap;
 

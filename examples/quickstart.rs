@@ -6,8 +6,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use srumma::core::driver::{multiply_threads, serial_reference};
-use srumma::{Algorithm, GemmSpec, Matrix};
+use srumma::core::driver::serial_reference;
+use srumma::{Algorithm, Backend, GemmSpec, Matrix, Multiply};
 
 fn main() {
     let n = 768;
@@ -31,8 +31,12 @@ fn main() {
     println!("serial dgemm:        {:.3} s", serial_secs);
 
     // SRUMMA across increasing rank counts.
+    let request = Multiply::new(Algorithm::srumma_default(), spec, &a, &b);
     for nranks in [1, 2, 4, 8] {
-        let (c, secs) = multiply_threads(nranks, &Algorithm::srumma_default(), &spec, &a, &b);
+        let out = request
+            .run(nranks, &Backend::threads())
+            .expect("a valid request");
+        let (c, secs) = (out.c.expect("real operands"), out.wall_seconds);
         let err = srumma::dense::max_abs_diff(&c, &expect);
         let gflops = 2.0 * (n as f64).powi(3) / secs / 1e9;
         println!(

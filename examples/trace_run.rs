@@ -7,9 +7,8 @@
 //! # then open results/trace_threads.json in ui.perfetto.dev
 //! ```
 
-use srumma::core::driver::{measure_traced, multiply_threads_traced};
 use srumma::trace::chrome_trace_json;
-use srumma::{Algorithm, GemmSpec, Machine, Matrix};
+use srumma::{Algorithm, Backend, GemmSpec, Machine, Matrix, Multiply};
 
 fn main() {
     std::fs::create_dir_all("results").expect("create results/");
@@ -19,7 +18,10 @@ fn main() {
     let spec = GemmSpec::square(n);
     let a = Matrix::random(n, n, 1);
     let b = Matrix::random(n, n, 2);
-    let (_, run) = multiply_threads_traced(4, &Algorithm::srumma_default(), &spec, &a, &b);
+    let run = Multiply::new(Algorithm::srumma_default(), spec, &a, &b)
+        .traced()
+        .run(4, &Backend::threads())
+        .expect("a valid request");
     std::fs::write("results/trace_threads.json", chrome_trace_json(&run.trace))
         .expect("write trace");
     println!(
@@ -29,12 +31,10 @@ fn main() {
     println!("{}\n", run.stats.summary_json());
 
     // Simulated Linux/Myrinet cluster, virtual-time events.
-    let sim = measure_traced(
-        &Machine::linux_myrinet(),
-        16,
-        &Algorithm::srumma_default(),
-        &GemmSpec::square(2000),
-    );
+    let sim = Multiply::modeled(Algorithm::srumma_default(), GemmSpec::square(2000))
+        .traced()
+        .run(16, &Backend::Sim(&Machine::linux_myrinet()))
+        .expect("a valid request");
     std::fs::write("results/trace_sim.json", chrome_trace_json(&sim.trace)).expect("write trace");
     println!(
         "sim backend: {} events from 16 ranks -> results/trace_sim.json",

@@ -15,6 +15,12 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== benchmark self-tests against the facade =="
+# bench_e2e is its own package (not a workspace member) that compiles
+# against the srumma facade; removing or re-signing a name it uses must
+# fail here rather than at benchmark time.
+cargo test --offline --locked --manifest-path bench_e2e/Cargo.toml
+
 echo "== cargo test, once per available kernel flavor =="
 # The default pass above runs under auto dispatch; here every kernel
 # the host can run gets its own full-suite pass (scalar always, avx2/

@@ -9,6 +9,9 @@
 //! * [`srumma_model`] ([`model`]) — machine & protocol cost models;
 //! * [`srumma_dense`] ([`dense`]) — serial blocked dgemm;
 //! * [`srumma_trace`] ([`trace`]) — per-rank event recorder & metrics.
+//!
+//! Every multiply is one [`Multiply`] request run on one [`Backend`];
+//! it returns an [`Output`] or a typed [`PlanError`].
 
 pub use srumma_comm as comm;
 pub use srumma_core as core;
@@ -19,6 +22,7 @@ pub use srumma_trace as trace;
 
 pub use srumma_comm::{ChaosComm, FaultPlan, RankDeath};
 pub use srumma_core::{Algorithm, GemmSpec, ShmemFlavor, SrummaOptions, SummaOptions};
+pub use srumma_core::{Backend, Multiply, Output, PlanError};
 pub use srumma_core::{BatchEntry, BatchResult, BatchSpec, ReplicationFactor, SparseMasks};
 pub use srumma_dense::{max_abs_diff, BlockMask, Matrix, Op};
 pub use srumma_model::{Machine, Platform, Topology};

@@ -3,10 +3,8 @@
 //! claims hold in the model (small scale, so the suite stays fast; the
 //! full-scale numbers live in the bench harnesses / EXPERIMENTS.md).
 
-use srumma::core::driver::{
-    measure_gflops, measure_modeled, multiply_threads, multiply_verified, serial_reference,
-};
-use srumma::{Algorithm, GemmSpec, Machine, Matrix, Op};
+use srumma::core::driver::{measure_gflops, measure_modeled, multiply_threads, serial_reference};
+use srumma::{Algorithm, Backend, GemmSpec, Machine, Matrix, Multiply, Op};
 
 #[test]
 fn facade_quickstart_flow() {
@@ -31,8 +29,10 @@ fn simulated_run_verifies_numerics_on_every_platform() {
         Machine::cray_x1(),
         Machine::sgi_altix(),
     ] {
-        let (c, stats) =
-            multiply_verified(&machine, 6, &Algorithm::srumma_default(), &spec, &a, &b);
+        let out = Multiply::new(Algorithm::srumma_default(), spec, &a, &b)
+            .run(6, &Backend::Sim(&machine))
+            .unwrap();
+        let (c, stats) = (out.c.unwrap(), out.stats);
         assert!(
             srumma::dense::max_abs_diff(&c, &expect) < 1e-9,
             "{:?}",
@@ -200,7 +200,11 @@ fn backends_agree_bitwise() {
         ..Default::default()
     });
     for alg in [fixed_order, Algorithm::summa_default()] {
-        let (c_sim, _) = multiply_verified(&Machine::linux_myrinet(), 6, &alg, &spec, &a, &b);
+        let c_sim = Multiply::new(alg, spec, &a, &b)
+            .run(6, &Backend::Sim(&Machine::linux_myrinet()))
+            .unwrap()
+            .c
+            .unwrap();
         let (c_thr, _) = multiply_threads(6, &alg, &spec, &a, &b);
         assert_eq!(
             c_sim.as_slice(),
@@ -213,14 +217,17 @@ fn backends_agree_bitwise() {
 
 #[test]
 fn traced_runs_emit_perfetto_json_and_metrics_on_both_backends() {
-    use srumma::core::driver::{measure_traced, multiply_threads_traced};
     use srumma::trace::{bench_report_json, chrome_trace_json, TraceKind};
 
     // Thread backend: wall-clock events from a real multiply.
     let spec = GemmSpec::square(48);
     let a = Matrix::random(48, 48, 11);
     let b = Matrix::random(48, 48, 12);
-    let (c, run) = multiply_threads_traced(4, &Algorithm::srumma_default(), &spec, &a, &b);
+    let run = Multiply::new(Algorithm::srumma_default(), spec, &a, &b)
+        .traced()
+        .run(4, &Backend::threads())
+        .unwrap();
+    let c = run.c.unwrap();
     let expect = serial_reference(&spec, &a, &b);
     assert!(srumma::dense::max_abs_diff(&c, &expect) < 1e-9);
     assert!(!run.trace.is_empty(), "traced run must record events");
@@ -235,12 +242,10 @@ fn traced_runs_emit_perfetto_json_and_metrics_on_both_backends() {
     assert!(run.stats.ranks.iter().map(|r| r.tasks).sum::<u64>() > 0);
 
     // Simulator backend: virtual-time events from a modeled run.
-    let sim = measure_traced(
-        &Machine::linux_myrinet(),
-        8,
-        &Algorithm::srumma_default(),
-        &GemmSpec::square(2000),
-    );
+    let sim = Multiply::modeled(Algorithm::srumma_default(), GemmSpec::square(2000))
+        .traced()
+        .run(8, &Backend::Sim(&Machine::linux_myrinet()))
+        .unwrap();
     assert!(!sim.trace.is_empty());
     assert!(sim.trace.iter().any(|e| e.kind == TraceKind::Compute));
     assert!(sim.trace.iter().any(|e| e.kind == TraceKind::Task));
@@ -270,14 +275,10 @@ fn disabled_tracing_keeps_counters_but_no_events() {
     let spec = GemmSpec::square(32);
     let a = Matrix::random(32, 32, 21);
     let b = Matrix::random(32, 32, 22);
-    let (_, stats) = multiply_verified(
-        &Machine::linux_myrinet(),
-        4,
-        &Algorithm::srumma_default(),
-        &spec,
-        &a,
-        &b,
-    );
+    let stats = Multiply::new(Algorithm::srumma_default(), spec, &a, &b)
+        .run(4, &Backend::Sim(&Machine::linux_myrinet()))
+        .unwrap()
+        .stats;
     assert!(stats.ranks.iter().map(|r| r.tasks).sum::<u64>() > 0);
     assert!(stats.total_fetched_bytes() + stats.total_direct_bytes() > 0);
 }
@@ -291,7 +292,6 @@ fn disabled_recorder_overhead_is_small() {
     // honest comparison available in-tree is untraced vs fully traced:
     // the disabled cost is strictly below the enabled cost measured
     // here. Timing-based, hence ignored by default to keep CI stable.
-    use srumma::core::driver::multiply_threads_traced;
     let spec = GemmSpec::square(64);
     let a = Matrix::random(64, 64, 1);
     let b = Matrix::random(64, 64, 2);
@@ -300,7 +300,9 @@ fn disabled_recorder_overhead_is_small() {
         let t0 = std::time::Instant::now();
         for _ in 0..reps {
             if traced {
-                let _ = multiply_threads_traced(4, &Algorithm::srumma_default(), &spec, &a, &b);
+                let _ = Multiply::new(Algorithm::srumma_default(), spec, &a, &b)
+                    .traced()
+                    .run(4, &Backend::threads());
             } else {
                 let _ = multiply_threads(4, &Algorithm::srumma_default(), &spec, &a, &b);
             }

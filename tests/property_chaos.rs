@@ -9,13 +9,12 @@
 //! widen the sweep (see `srumma::dense::prop`).
 
 use srumma::core::driver::{
-    default_grid, multiply_exec, multiply_exec_chaos, multiply_threads_chaos,
-    multiply_verified_chaos, multiply_verified_sparse_chaos, serial_reference,
-    sparse_serial_reference,
+    default_grid, multiply_exec, serial_reference, sparse_serial_reference,
 };
 use srumma::dense::{max_abs_diff, prop_rerun, prop_seeds, Rng};
 use srumma::{
-    Algorithm, BlockMask, FaultPlan, GemmSpec, Machine, Matrix, SparseMasks, SrummaOptions,
+    Algorithm, Backend, BlockMask, FaultPlan, GemmSpec, Machine, Matrix, Multiply, SparseMasks,
+    SrummaOptions,
 };
 
 const CASES: u64 = 6;
@@ -48,7 +47,8 @@ fn straggled_backends_match_serial_reference() {
         let plan =
             FaultPlan::random_stragglers(seed, nranks).with_get_spikes(0.25, WALL_SPIKE_SECONDS);
 
-        let (c_threads, _) = multiply_threads_chaos(nranks, &opts, &spec, &a, &b, &plan);
+        let chaos = Multiply::new(Algorithm::Srumma(opts), spec, &a, &b).faults(plan);
+        let c_threads = chaos.run(nranks, &Backend::threads()).unwrap().c.unwrap();
         let d = max_abs_diff(&c_threads, &expect);
         assert!(
             d < tolerance(spec.k),
@@ -57,7 +57,11 @@ fn straggled_backends_match_serial_reference() {
         );
 
         let workers = *rng.pick(&[1usize, 2, 3, 4]);
-        let (c_exec, _) = multiply_exec_chaos(nranks, workers, &opts, &spec, &a, &b, &plan);
+        let c_exec = chaos
+            .run(nranks, &Backend::exec(workers))
+            .unwrap()
+            .c
+            .unwrap();
         let d = max_abs_diff(&c_exec, &expect);
         assert!(
             d < tolerance(spec.k),
@@ -71,8 +75,11 @@ fn straggled_backends_match_serial_reference() {
         let sim_plan = FaultPlan::random_stragglers(seed, nranks).with_get_spikes(0.25, 1e-3);
         let machine = Machine::linux_myrinet();
         for alg in [Algorithm::Srumma(opts), Algorithm::summa_default()] {
-            let (c_sim, stats) =
-                multiply_verified_chaos(&machine, nranks, &alg, &spec, &a, &b, &sim_plan);
+            let out = Multiply::new(alg, spec, &a, &b)
+                .faults(sim_plan.clone())
+                .run(nranks, &Backend::Sim(&machine))
+                .unwrap();
+            let (c_sim, stats) = (out.c.unwrap(), out.stats);
             let d = max_abs_diff(&c_sim, &expect);
             assert!(
                 d < tolerance(spec.k),
@@ -104,23 +111,27 @@ fn rank_death_reexecution_is_bitwise_exact() {
 
         let (healthy, _) = multiply_exec(nranks, workers, &Algorithm::Srumma(opts), &spec, &a, &b);
         let plan = FaultPlan::healthy().with_death(dead, after);
-        let (chaotic, res) = multiply_exec_chaos(nranks, workers, &opts, &spec, &a, &b, &plan);
+        let res = Multiply::new(Algorithm::Srumma(opts), spec, &a, &b)
+            .faults(plan)
+            .run(nranks, &Backend::exec(workers))
+            .unwrap();
+        let chaotic = res.c.as_ref().unwrap();
 
         assert_eq!(
-            max_abs_diff(&chaotic, &healthy),
+            max_abs_diff(chaotic, &healthy),
             0.0,
             "x{nranks} w{workers} death(rank={dead}, after={after}): \
              re-executed C differs from the healthy run\n{}",
             prop_rerun(seed, test)
         );
         let expect = serial_reference(&spec, &a, &b);
-        let d = max_abs_diff(&chaotic, &expect);
+        let d = max_abs_diff(chaotic, &expect);
         assert!(d < tolerance(spec.k), "vs serial: |diff|={d:e}");
         assert!(
             res.stats.total_tasks_reexecuted() > 0,
             "x{nranks} death(rank={dead}, after={after}): nobody re-executed anything"
         );
-        assert_eq!(res.outputs.len(), nranks, "every rank must complete");
+        assert_eq!(res.reports.len(), nranks, "every rank must complete");
     }
 }
 
@@ -133,9 +144,13 @@ fn death_past_the_task_list_never_fires() {
     let b = Matrix::random(spec.k, spec.n, 0xF2);
     let opts = SrummaOptions::default();
     let plan = FaultPlan::healthy().with_death(1, 1_000_000);
-    let (c, res) = multiply_exec_chaos(4, 2, &opts, &spec, &a, &b, &plan);
+    let res = Multiply::new(Algorithm::Srumma(opts), spec, &a, &b)
+        .faults(plan)
+        .run(4, &Backend::exec(2))
+        .unwrap();
+    let c = res.c.as_ref().unwrap();
     let expect = serial_reference(&spec, &a, &b);
-    assert!(max_abs_diff(&c, &expect) < tolerance(spec.k));
+    assert!(max_abs_diff(c, &expect) < tolerance(spec.k));
     assert_eq!(res.stats.total_tasks_reexecuted(), 0);
 }
 
@@ -164,16 +179,13 @@ fn sparse_sim_chaos_matches_masked_reference() {
         );
         let plan = FaultPlan::random_stragglers(seed, nranks).with_get_spikes(0.3, 1e-3);
         let opts = SrummaOptions::default();
-        let (c, _) = multiply_verified_sparse_chaos(
-            &Machine::linux_myrinet(),
-            nranks,
-            &opts,
-            &spec,
-            &a,
-            &b,
-            &masks,
-            &plan,
-        );
+        let c = Multiply::new(Algorithm::Srumma(opts), spec, &a, &b)
+            .masks(masks.clone())
+            .faults(plan)
+            .run(nranks, &Backend::Sim(&Machine::linux_myrinet()))
+            .unwrap()
+            .c
+            .unwrap();
         let expect = sparse_serial_reference(&spec, &a, &b, &masks);
         let d = max_abs_diff(&c, &expect);
         assert!(
@@ -198,8 +210,12 @@ fn sim_chaos_runs_are_bit_for_bit_reproducible() {
     let plan = FaultPlan::random_stragglers(7, nranks).with_get_spikes(0.5, 2e-3);
     let machine = Machine::linux_myrinet();
     let alg = Algorithm::srumma_default();
-    let (c1, s1) = multiply_verified_chaos(&machine, nranks, &alg, &spec, &a, &b, &plan);
-    let (c2, s2) = multiply_verified_chaos(&machine, nranks, &alg, &spec, &a, &b, &plan);
+    let chaos = Multiply::new(alg, spec, &a, &b).faults(plan);
+    let (o1, o2) = (
+        chaos.run(nranks, &Backend::Sim(&machine)).unwrap(),
+        chaos.run(nranks, &Backend::Sim(&machine)).unwrap(),
+    );
+    let (c1, s1, c2, s2) = (o1.c.unwrap(), o1.stats, o2.c.unwrap(), o2.stats);
     assert_eq!(max_abs_diff(&c1, &c2), 0.0, "C must be bitwise stable");
     assert_eq!(
         s1.makespan.to_bits(),

@@ -9,12 +9,12 @@
 //! the sweep (see `srumma::dense::prop`).
 
 use srumma::core::driver::{
-    default_grid, multiply_exec, multiply_exec_sparse, multiply_threads, multiply_threads_sparse,
-    multiply_verified, multiply_verified_sparse, serial_reference, sparse_serial_reference,
+    default_grid, multiply_exec, multiply_threads, serial_reference, sparse_serial_reference,
 };
 use srumma::dense::{max_abs_diff, prop_rerun, prop_seeds, Rng};
 use srumma::{
-    Algorithm, BlockMask, GemmSpec, Machine, Matrix, Op, ShmemFlavor, SparseMasks, SrummaOptions,
+    Algorithm, BlockMask, GemmSpec, Machine, Matrix, Multiply, Op, ShmemFlavor, SparseMasks,
+    SrummaOptions,
 };
 
 const CASES: u64 = 24;
@@ -97,7 +97,11 @@ fn check_case(seed: u64, backend: Backend, test: &str) {
 
     let c = match backend {
         Backend::Threads => multiply_threads(nranks, &alg, &spec, &a, &b).0,
-        Backend::Sim => multiply_verified(&Machine::linux_myrinet(), nranks, &alg, &spec, &a, &b).0,
+        Backend::Sim => Multiply::new(alg, spec, &a, &b)
+            .run(nranks, &srumma::Backend::Sim(&Machine::linux_myrinet()))
+            .unwrap()
+            .c
+            .unwrap(),
         Backend::Exec => {
             // Workers chosen independently of ranks: frequently an
             // oversubscribed pool, sometimes more workers than ranks.
@@ -160,23 +164,14 @@ fn check_sparse_case(seed: u64, backend: Backend, test: &str) {
         }
     }
 
+    let sparse = Multiply::new(Algorithm::Srumma(opts), spec, &a, &b).masks(masks.clone());
+    let run = |backend: srumma::Backend| sparse.run(nranks, &backend).unwrap().c.unwrap();
     let c = match backend {
-        Backend::Threads => multiply_threads_sparse(nranks, &opts, &spec, &a, &b, &masks).0,
-        Backend::Sim => {
-            multiply_verified_sparse(
-                &Machine::linux_myrinet(),
-                nranks,
-                &opts,
-                &spec,
-                &a,
-                &b,
-                &masks,
-            )
-            .0
-        }
+        Backend::Threads => run(srumma::Backend::threads()),
+        Backend::Sim => run(srumma::Backend::Sim(&Machine::linux_myrinet())),
         Backend::Exec => {
             let workers = *rng.pick(&[1usize, 2, 3, 4]);
-            multiply_exec_sparse(nranks, workers, &opts, &spec, &a, &b, &masks).0
+            run(srumma::Backend::exec(workers))
         }
     };
     let diff = max_abs_diff(&c, &expect);
@@ -282,7 +277,12 @@ fn density_one_is_bitwise_identical_to_dense() {
         let alg = Algorithm::Srumma(opts);
 
         let (dense_t, _) = multiply_threads(nranks, &alg, &spec, &a, &b);
-        let (sparse_t, _) = multiply_threads_sparse(nranks, &opts, &spec, &a, &b, &masks);
+        let sparse = Multiply::new(alg, spec, &a, &b).masks(masks);
+        let sparse_t = sparse
+            .run(nranks, &srumma::Backend::threads())
+            .unwrap()
+            .c
+            .unwrap();
         assert_eq!(
             max_abs_diff(&dense_t, &sparse_t),
             0.0,
@@ -290,15 +290,20 @@ fn density_one_is_bitwise_identical_to_dense() {
         );
 
         let machine = Machine::linux_myrinet();
-        let (dense_s, _) = multiply_verified(&machine, nranks, &alg, &spec, &a, &b);
-        let (sparse_s, _) =
-            multiply_verified_sparse(&machine, nranks, &opts, &spec, &a, &b, &masks);
+        let sim = srumma::Backend::Sim(&machine);
+        let dense_s = Multiply::new(alg, spec, &a, &b)
+            .run(nranks, &sim)
+            .unwrap()
+            .c
+            .unwrap();
+        let sparse_s = sparse.run(nranks, &sim).unwrap().c.unwrap();
         assert_eq!(max_abs_diff(&dense_s, &sparse_s), 0.0, "sim seed {seed}");
 
         let (dense_e, dres) = multiply_exec(nranks, 2, &alg, &spec, &a, &b);
-        let (sparse_e, sres) = multiply_exec_sparse(nranks, 2, &opts, &spec, &a, &b, &masks);
-        assert_eq!(max_abs_diff(&dense_e, &sparse_e), 0.0, "exec seed {seed}");
-        for (rank, (d, s)) in dres.outputs.iter().zip(&sres.outputs).enumerate() {
+        let sres = sparse.run(nranks, &srumma::Backend::exec(2)).unwrap();
+        let sparse_e = sres.c.as_ref().unwrap();
+        assert_eq!(max_abs_diff(&dense_e, sparse_e), 0.0, "exec seed {seed}");
+        for (rank, (d, s)) in dres.outputs.iter().zip(&sres.reports).enumerate() {
             let d = d.as_ref().unwrap();
             assert_eq!(
                 s.tasks, d.tasks,
@@ -333,11 +338,14 @@ fn one_surviving_block_per_operand() {
                 }
             }
             let opts = SrummaOptions::default();
-            let (c, res) = multiply_exec_sparse(nranks, 2, &opts, &spec, &a, &b, &masks);
-            let diff = max_abs_diff(&c, &expect);
+            let res = Multiply::new(Algorithm::Srumma(opts), spec, &a, &b)
+                .masks(masks)
+                .run(nranks, &srumma::Backend::exec(2))
+                .unwrap();
+            let diff = max_abs_diff(res.c.as_ref().unwrap(), &expect);
             assert!(diff < tolerance(spec.k), "{ta:?}/{tb:?}: |diff|={diff:e}");
-            let survived: usize = res.outputs.iter().map(|r| r.tasks).sum();
-            let masked: usize = res.outputs.iter().map(|r| r.masked_tasks).sum();
+            let survived: usize = res.reports.iter().map(|r| r.tasks).sum();
+            let masked: usize = res.reports.iter().map(|r| r.masked_tasks).sum();
             assert!(survived <= nranks, "{ta:?}/{tb:?}: too many tasks survived");
             assert!(masked > 0, "{ta:?}/{tb:?}: nothing was pruned");
         }
@@ -362,10 +370,13 @@ fn oversubscribed_sparse_executor_128_ranks_2_workers() {
     );
     let expect = sparse_serial_reference(&spec, &a, &b, &masks);
     let opts = SrummaOptions::default();
-    let (c, res) = multiply_exec_sparse(nranks, workers, &opts, &spec, &a, &b, &masks);
-    let diff = max_abs_diff(&c, &expect);
+    let res = Multiply::new(Algorithm::Srumma(opts), spec, &a, &b)
+        .masks(masks)
+        .run(nranks, &srumma::Backend::exec(workers))
+        .unwrap();
+    let diff = max_abs_diff(res.c.as_ref().unwrap(), &expect);
     assert!(diff < tolerance(spec.k), "|diff|={diff:e}");
-    let masked: usize = res.outputs.iter().map(|r| r.masked_tasks).sum();
+    let masked: usize = res.reports.iter().map(|r| r.masked_tasks).sum();
     assert!(
         masked > 0,
         "density 0.3 masks pruned nothing on a 128-rank grid"
