@@ -20,13 +20,25 @@
 //! region and panics on a read/write or write/write overlap — a tiny
 //! race detector for the discipline itself.
 
-use std::cell::UnsafeCell;
+use srumma_dense::{MatMut, MatRef};
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicI32, Ordering};
 use std::sync::Arc;
 
 /// A shared, fixed-size `f64` arena accessible from every rank thread.
+///
+/// Every view is rebuilt from one raw base pointer: the arena either
+/// owns its storage ([`SharedArena::new`], one region per block, packed
+/// back to back) or borrows a caller's row-major matrix
+/// ([`SharedArena::adopt`]), where each region is a strided window of
+/// that matrix and regions share rows.
 pub struct SharedArena {
-    data: UnsafeCell<Box<[f64]>>,
+    /// Element 0 of the storage.
+    base: NonNull<f64>,
+    /// Total length in elements.
+    len: usize,
+    /// Who owns the storage, and how blocks sit in it.
+    storage: Storage,
     /// One reader/writer counter per region (region granularity is
     /// chosen by the allocator: one region per rank block).
     checkers: Vec<AccessChecker>,
@@ -34,10 +46,34 @@ pub struct SharedArena {
     regions: Vec<(usize, usize)>,
 }
 
-// SAFETY: all aliasing is governed by the documented discipline; debug
-// builds verify it dynamically. The arena itself is just bytes.
+// SAFETY: the arena hands out element access only through guards.
+// Mutable views cover exactly one block's `rows × cols` elements, never
+// the gaps between rows that adopted regions share with their
+// neighbours, and a write guard is exclusive per region (its checker
+// goes to -1, panicking if a reader or writer is live), so two threads
+// never hold overlapping `&mut` rows. Blocks of distinct regions are
+// disjoint element sets. Read guards only exist while no writer holds
+// their region. The one read view that spans row gaps
+// (`ReadGuard::mat`) covers only its own elements on owned arenas; on
+// adopted ones the gaps are read-only storage (no writer can exist) or,
+// by the contract of `adopt`, not written while the view lives. The
+// checker's atomics (acquire/release) order a writer's stores before
+// the next reader's loads; the operation barriers order the rest.
 unsafe impl Sync for SharedArena {}
+// SAFETY: the arena is plain memory plus atomics; moving it to another
+// thread moves no thread-bound state. Freeing owned storage on drop is
+// fine from any thread.
 unsafe impl Send for SharedArena {}
+
+/// Where an arena's elements live.
+enum Storage {
+    /// Allocated by [`SharedArena::new`] and freed on drop; each block
+    /// is packed at the start of its region (`ld` = its width).
+    Owned,
+    /// A caller's row-major matrix of row pitch `ld`; each region is a
+    /// strided window of it. Read-only storage refuses write guards.
+    Adopted { ld: usize, writable: bool },
+}
 
 impl SharedArena {
     /// Collectively allocate an arena with the given region layout
@@ -57,17 +93,55 @@ impl SharedArena {
             .zip(region_lens)
             .map(|(&o, &l)| (o, l))
             .collect();
+        let storage: Box<[f64]> = vec![0.0; total].into_boxed_slice();
+        // Released again, as a box of the same length, in `Drop`.
+        let base = NonNull::new(Box::into_raw(storage) as *mut f64).expect("box is non-null");
         let arena = Arc::new(SharedArena {
-            data: UnsafeCell::new(vec![0.0; total].into_boxed_slice()),
+            base,
+            len: total,
+            storage: Storage::Owned,
             checkers: region_lens.iter().map(|_| AccessChecker::new()).collect(),
             regions,
         });
         (arena, offsets)
     }
 
+    /// Borrow a caller's row-major storage of `len` elements and row
+    /// pitch `ld` as an arena whose region `i` is the strided window
+    /// `regions[i] = (offset, span)`. A read-only arena (`writable =
+    /// false`) panics on any write guard.
+    ///
+    /// # Safety
+    /// `base .. base + len` must stay valid for as long as the arena
+    /// lives. While it lives, a writable arena's storage must be
+    /// accessed by nothing but the arena, and a read-only arena's
+    /// storage must not be written by anyone. Every region's span must
+    /// lie inside the storage. A read view ([`ReadGuard::mat`]) spans
+    /// the gaps between its block's rows, so on a writable arena it
+    /// must not be live while another region is being written.
+    pub unsafe fn adopt(
+        base: NonNull<f64>,
+        len: usize,
+        ld: usize,
+        regions: Vec<(usize, usize)>,
+        writable: bool,
+    ) -> Arc<Self> {
+        assert!(
+            regions.iter().all(|&(off, span)| off + span <= len),
+            "adopted region outside the storage"
+        );
+        Arc::new(SharedArena {
+            base,
+            len,
+            storage: Storage::Adopted { ld, writable },
+            checkers: regions.iter().map(|_| AccessChecker::new()).collect(),
+            regions,
+        })
+    }
+
     /// Total length in elements.
     pub fn len(&self) -> usize {
-        unsafe { (&*self.data.get()).len() }
+        self.len
     }
 
     /// Whether the arena is empty.
@@ -85,48 +159,98 @@ impl SharedArena {
         self.regions[id]
     }
 
-    /// Immutable view of region `id`.
+    /// Pointer to element `(0, 0)` of the `rows × cols` block held by
+    /// region `id`, and its leading dimension.
     ///
-    /// # Safety
-    /// Caller must uphold the arena discipline: no concurrent mutable
-    /// access to this region. Debug builds verify dynamically.
-    pub unsafe fn region_slice(&self, id: usize) -> &[f64] {
+    /// # Panics
+    /// Panics if the block does not fit in the region.
+    fn block(&self, id: usize, rows: usize, cols: usize) -> (*mut f64, usize) {
         let (off, len) = self.regions[id];
-        debug_assert!(
-            self.checkers[id].would_allow_read(),
-            "region {id} is being written"
+        let ld = match self.storage {
+            Storage::Owned => cols,
+            Storage::Adopted { ld, .. } => ld,
+        };
+        assert!(ld >= cols, "block of width {cols} exceeds row pitch {ld}");
+        let span = if rows == 0 || cols == 0 {
+            0
+        } else {
+            (rows - 1) * ld + cols
+        };
+        assert!(
+            span <= len,
+            "{rows}x{cols} block (ld {ld}) overflows region {id} of {len} elements"
         );
-        let data = unsafe { &*self.data.get() };
-        &data[off..off + len]
+        // SAFETY: `off + len <= self.len` (by construction for owned
+        // arenas, checked by `adopt`), so the offset stays inside the
+        // storage or one past its end.
+        (unsafe { self.base.as_ptr().add(off) }, ld)
     }
 
-    /// Mutable view of region `id`.
-    ///
-    /// # Safety
-    /// Caller must uphold the arena discipline: this region must not be
-    /// accessed by any other thread for the lifetime of the returned
-    /// slice. Debug builds verify dynamically.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn region_slice_mut(&self, id: usize) -> &mut [f64] {
-        let (off, len) = self.regions[id];
-        debug_assert!(
-            self.checkers[id].would_allow_write(),
-            "region {id} is being accessed"
-        );
-        let data = unsafe { &mut *self.data.get() };
-        &mut data[off..off + len]
-    }
-
-    /// RAII-guarded read access (used by the debug checker paths).
-    pub fn read_guard(&self, id: usize) -> ReadGuard<'_> {
+    /// RAII-guarded read access to region `id`'s `rows × cols` block.
+    pub fn read_guard(&self, id: usize, rows: usize, cols: usize) -> ReadGuard<'_> {
+        let (ptr, ld) = self.block(id, rows, cols);
         self.checkers[id].begin_read();
-        ReadGuard { arena: self, id }
+        ReadGuard {
+            arena: self,
+            id,
+            ptr,
+            rows,
+            cols,
+            ld,
+        }
     }
 
-    /// RAII-guarded write access.
-    pub fn write_guard(&self, id: usize) -> WriteGuard<'_> {
+    /// RAII-guarded exclusive write access to region `id`'s
+    /// `rows × cols` block.
+    ///
+    /// # Panics
+    /// Panics on a read-only arena.
+    pub fn write_guard(&self, id: usize, rows: usize, cols: usize) -> WriteGuard<'_> {
+        assert!(
+            self.writable(),
+            "arena discipline violation: write to read-only region {id}"
+        );
+        let (ptr, ld) = self.block(id, rows, cols);
         self.checkers[id].begin_write();
-        WriteGuard { arena: self, id }
+        WriteGuard {
+            arena: self,
+            id,
+            ptr,
+            rows,
+            cols,
+            ld,
+        }
+    }
+
+    /// Whether blocks may be written.
+    fn writable(&self) -> bool {
+        !matches!(
+            self.storage,
+            Storage::Adopted {
+                writable: false,
+                ..
+            }
+        )
+    }
+
+    /// Whether any region is under write (debug check for read views
+    /// that span shared rows).
+    fn any_writer(&self) -> bool {
+        self.checkers
+            .iter()
+            .any(|c| c.state.load(Ordering::Acquire) < 0)
+    }
+}
+
+impl Drop for SharedArena {
+    fn drop(&mut self) {
+        if let Storage::Owned = self.storage {
+            let storage = std::ptr::slice_from_raw_parts_mut(self.base.as_ptr(), self.len);
+            // SAFETY: `base` and `len` came from `Box::into_raw` of a
+            // boxed slice of exactly this length in `new`, and no guard
+            // outlives the arena (guards borrow it).
+            drop(unsafe { Box::from_raw(storage) });
+        }
     }
 }
 
@@ -168,28 +292,61 @@ impl AccessChecker {
     fn end_write(&self) {
         self.state.store(0, Ordering::Release);
     }
-
-    fn would_allow_read(&self) -> bool {
-        self.state.load(Ordering::Acquire) >= 0
-    }
-
-    fn would_allow_write(&self) -> bool {
-        let s = self.state.load(Ordering::Acquire);
-        s == 0 || s == -1 // -1: our own guard already holds it
-    }
 }
 
-/// Guard proving read access to a region.
+/// Guard proving read access to one region's block.
 pub struct ReadGuard<'a> {
     arena: &'a SharedArena,
     id: usize,
+    ptr: *mut f64,
+    rows: usize,
+    cols: usize,
+    ld: usize,
 }
 
+// SAFETY: the guard is a shared claim on its block's elements, like a
+// `&[f64]` to them, so it may move to and be shared between threads.
+unsafe impl Send for ReadGuard<'_> {}
+// SAFETY: as above.
+unsafe impl Sync for ReadGuard<'_> {}
+
 impl ReadGuard<'_> {
-    /// The protected slice.
-    pub fn slice(&self) -> &[f64] {
-        // SAFETY: the guard holds the read count.
-        unsafe { self.arena.region_slice(self.id) }
+    /// Row `i` of the block: exactly its `cols` elements.
+    pub fn row(&self, i: usize) -> &[f64] {
+        assert!(i < self.rows, "row {i} out of range");
+        // SAFETY: row `i`'s elements belong to this block, and the read
+        // count keeps writers of the region out while the guard lives.
+        unsafe { std::slice::from_raw_parts(self.ptr.add(i * self.ld), self.cols) }
+    }
+
+    /// The whole block as one slice, if it is stored without gaps.
+    pub fn packed(&self) -> Option<&[f64]> {
+        (self.ld == self.cols || self.rows <= 1).then(|| {
+            // SAFETY: a gapless block is exactly these elements, all its
+            // own; the read count keeps writers out.
+            unsafe { std::slice::from_raw_parts(self.ptr, self.rows * self.cols) }
+        })
+    }
+
+    /// The block as a strided view. Its slice spans the gaps between
+    /// rows, which on adopted storage belong to neighbouring blocks.
+    pub fn mat(&self) -> MatRef<'_> {
+        if self.rows == 0 || self.cols == 0 {
+            return MatRef::new(self.rows, self.cols, self.ld, &[]);
+        }
+        debug_assert!(
+            !(self.arena.writable() && self.ld != self.cols && self.arena.any_writer()),
+            "arena discipline violation: strided read view while a block is written"
+        );
+        let span = (self.rows - 1) * self.ld + self.cols;
+        // SAFETY: the span lies inside the region (checked when the guard
+        // was made). Our own block is kept writer-free by the read count;
+        // the gap elements are either ours (packed storage), read-only
+        // (adopted operands), or not written while the view lives (the
+        // contract of `SharedArena::adopt` for writable storage).
+        MatRef::new(self.rows, self.cols, self.ld, unsafe {
+            std::slice::from_raw_parts(self.ptr, span)
+        })
     }
 }
 
@@ -199,17 +356,31 @@ impl Drop for ReadGuard<'_> {
     }
 }
 
-/// Guard proving exclusive write access to a region.
+/// Guard proving exclusive write access to one region's block.
 pub struct WriteGuard<'a> {
     arena: &'a SharedArena,
     id: usize,
+    ptr: *mut f64,
+    rows: usize,
+    cols: usize,
+    ld: usize,
 }
 
+// SAFETY: the guard is an exclusive claim on its block's elements (like
+// a `&mut [f64]` to them), so it may move to another thread — the
+// executor re-runs a dead rank's machine, C guard included, elsewhere.
+unsafe impl Send for WriteGuard<'_> {}
+// SAFETY: a shared `&WriteGuard` exposes no element access at all.
+unsafe impl Sync for WriteGuard<'_> {}
+
 impl WriteGuard<'_> {
-    /// The protected slice.
-    pub fn slice_mut(&mut self) -> &mut [f64] {
-        // SAFETY: the guard holds exclusive access.
-        unsafe { self.arena.region_slice_mut(self.id) }
+    /// The block as a mutable strided view (row slices only).
+    pub fn mat_mut(&mut self) -> MatMut<'_> {
+        // SAFETY: the block's elements lie inside the region (checked
+        // when the guard was made) and the write state makes this guard
+        // their only accessor; `&mut self` ties the view to it. The view
+        // never touches the gaps between rows.
+        unsafe { MatMut::from_raw_parts(self.ptr, self.rows, self.cols, self.ld) }
     }
 }
 
@@ -236,43 +407,54 @@ mod tests {
     fn writes_are_visible_to_reads() {
         let (arena, _) = SharedArena::new(&[4, 4]);
         {
-            let mut w = arena.write_guard(0);
-            w.slice_mut().copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
+            let mut w = arena.write_guard(0, 2, 2);
+            let mut v = w.mat_mut();
+            v.row_mut(0).copy_from_slice(&[1.0, 2.0]);
+            v.row_mut(1).copy_from_slice(&[3.0, 4.0]);
         }
-        let r = arena.read_guard(0);
-        assert_eq!(r.slice(), &[1.0, 2.0, 3.0, 4.0]);
+        let r = arena.read_guard(0, 2, 2);
+        assert_eq!(r.packed().unwrap(), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(r.row(1), &[3.0, 4.0]);
+        assert_eq!(r.mat().at(1, 0), 3.0);
     }
 
     #[test]
     fn concurrent_reads_are_fine() {
         let (arena, _) = SharedArena::new(&[4]);
-        let r1 = arena.read_guard(0);
-        let r2 = arena.read_guard(0);
-        assert_eq!(r1.slice().len(), 4);
-        assert_eq!(r2.slice().len(), 4);
+        let r1 = arena.read_guard(0, 1, 4);
+        let r2 = arena.read_guard(0, 1, 4);
+        assert_eq!(r1.row(0).len(), 4);
+        assert_eq!(r2.row(0).len(), 4);
     }
 
     #[test]
     #[should_panic(expected = "discipline violation")]
     fn write_under_read_is_caught() {
         let (arena, _) = SharedArena::new(&[4]);
-        let _r = arena.read_guard(0);
-        let _w = arena.write_guard(0);
+        let _r = arena.read_guard(0, 1, 4);
+        let _w = arena.write_guard(0, 1, 4);
     }
 
     #[test]
     #[should_panic(expected = "discipline violation")]
     fn read_under_write_is_caught() {
         let (arena, _) = SharedArena::new(&[4]);
-        let _w = arena.write_guard(0);
-        let _r = arena.read_guard(0);
+        let _w = arena.write_guard(0, 1, 4);
+        let _r = arena.read_guard(0, 1, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows region")]
+    fn block_larger_than_its_region_is_refused() {
+        let (arena, _) = SharedArena::new(&[4, 4]);
+        let _r = arena.read_guard(0, 2, 3);
     }
 
     #[test]
     fn distinct_regions_do_not_conflict() {
         let (arena, _) = SharedArena::new(&[4, 4]);
-        let _w0 = arena.write_guard(0);
-        let _w1 = arena.write_guard(1);
+        let _w0 = arena.write_guard(0, 2, 2);
+        let _w1 = arena.write_guard(1, 2, 2);
         let (_, len) = arena.region(1);
         assert_eq!(len, 4);
     }
@@ -283,16 +465,16 @@ mod tests {
         std::thread::scope(|s| {
             let a = Arc::clone(&arena);
             s.spawn(move || {
-                let mut w = a.write_guard(0);
-                for (i, v) in w.slice_mut().iter_mut().enumerate() {
+                let mut w = a.write_guard(0, 1, 8);
+                for (i, v) in w.mat_mut().row_mut(0).iter_mut().enumerate() {
                     *v = i as f64;
                 }
             })
             .join()
             .unwrap();
         });
-        let r = arena.read_guard(0);
-        assert_eq!(r.slice()[7], 7.0);
+        let r = arena.read_guard(0, 1, 8);
+        assert_eq!(r.row(0)[7], 7.0);
     }
 
     #[test]
@@ -300,5 +482,48 @@ mod tests {
         let (arena, offsets) = SharedArena::new(&[]);
         assert!(arena.is_empty());
         assert!(offsets.is_empty());
+    }
+
+    /// Two column halves of a 3 x 4 caller matrix, written concurrently
+    /// by two threads through adopted strided regions.
+    #[test]
+    fn adopted_column_blocks_are_written_in_place() {
+        let mut storage = vec![0.0; 12];
+        let base = NonNull::new(storage.as_mut_ptr()).unwrap();
+        // SAFETY: `storage` outlives the arena (dropped at the end of the
+        // test) and is not touched until the arena is gone.
+        let arena = unsafe { SharedArena::adopt(base, 12, 4, vec![(0, 10), (2, 10)], true) };
+        std::thread::scope(|s| {
+            for id in 0..2 {
+                let a = Arc::clone(&arena);
+                s.spawn(move || {
+                    let mut w = a.write_guard(id, 3, 2);
+                    let mut v = w.mat_mut();
+                    for i in 0..3 {
+                        for j in 0..2 {
+                            *v.at_mut(i, j) = (i * 4 + id * 2 + j) as f64;
+                        }
+                    }
+                });
+            }
+        });
+        {
+            let r = arena.read_guard(1, 3, 2);
+            assert!(r.packed().is_none());
+            assert_eq!(r.row(2), &[10.0, 11.0]);
+            assert_eq!(r.mat().at(1, 1), 7.0);
+        }
+        drop(arena);
+        assert_eq!(storage, (0..12).map(f64::from).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "read-only region")]
+    fn read_only_adopted_storage_refuses_writes() {
+        let storage = [1.0; 4];
+        let base = NonNull::new(storage.as_ptr() as *mut f64).unwrap();
+        // SAFETY: `storage` outlives the arena and nobody writes it.
+        let arena = unsafe { SharedArena::adopt(base, 4, 2, vec![(0, 4)], false) };
+        let _w = arena.write_guard(0, 2, 2);
     }
 }

@@ -2,18 +2,23 @@
 //!
 //! SRUMMA assumes "the regular block distribution of the matrices A, B,
 //! and C" over a `p × q` process grid: process `(i, j)` owns the
-//! `(i, j)` block of every matrix, stored densely in that process's
-//! segment of the shared arena (so whole blocks are contiguous and a
-//! one-sided get of a block is a single transfer).
+//! `(i, j)` block of every matrix, stored in that process's segment of
+//! the shared arena (packed, or as a strided window of a caller's
+//! matrix), so a one-sided get of a block fetches one whole block.
 //!
 //! A `DistMatrix` can be **real-backed** (a shared arena holds actual
 //! elements — used by tests and host-parallel runs) or **virtual**
 //! (shape only — used by modeled paper-scale experiments where a
-//! 16000×16000 matrix would otherwise cost 2 GiB per operand).
+//! 16000×16000 matrix would otherwise cost 2 GiB per operand). A
+//! real-backed matrix either owns its arena (each block packed in its
+//! own region) or adopts a caller's matrix ([`DistMatrix::adopt`]), in
+//! which case each block is a strided window of the caller's storage —
+//! the Altix-style direct access with no operand copy at all.
 
-use crate::arena::SharedArena;
+use crate::arena::{ReadGuard, SharedArena, WriteGuard};
 use srumma_dense::{BlockMask, MatMut, MatRef, Matrix};
 use srumma_model::{ProcGrid, Topology};
+use std::ptr::NonNull;
 use std::sync::Arc;
 
 // The near-even 1-D partition is canonical in `srumma_dense::mask` (the
@@ -25,12 +30,11 @@ enum Backing {
     /// Shape only; no elements exist.
     Virtual,
     /// Real elements in a shared arena: rank `r`'s block lives in
-    /// region `base + stride · r`. A privately allocated matrix uses
-    /// `base = 0, stride = 1`; the batched driver instead threads many
-    /// matrices through **one** arena (regions sized to the batch
-    /// high-water mark), so a region may be *longer* than the block it
-    /// currently holds — every accessor slices to the block's
-    /// `rows · cols` prefix.
+    /// region `base + stride · r`. A privately allocated or adopted
+    /// matrix uses `base = 0, stride = 1`; the batched driver instead
+    /// threads many matrices through **one** arena (regions sized to the
+    /// batch high-water mark), so a region may be *longer* than the
+    /// block it currently holds — every accessor views only the block.
     Real {
         arena: Arc<SharedArena>,
         base: usize,
@@ -201,6 +205,47 @@ impl DistMatrix {
         }
     }
 
+    /// A real-backed matrix whose blocks are strided windows of a
+    /// caller's `rows × cols` row-major matrix at `base` (`ld = cols`)
+    /// instead of copies in a fresh arena: rank `r`'s block is the
+    /// caller's elements at [`Self::block_origin`]`(r)`, with row-major
+    /// rank placement. No element is copied. A read-only matrix
+    /// (`writable = false`) panics on any block write; the debug access
+    /// checker still guards every block.
+    ///
+    /// # Safety
+    /// The `rows · cols` elements at `base` must stay valid for as long
+    /// as the returned matrix (and every clone of its arena) lives. While
+    /// it lives, nothing else may write them, and if `writable`, nothing
+    /// else may read them either. Read views of a writable matrix's
+    /// blocks ([`BlockRead::mat`]) span the neighbouring blocks' parts of
+    /// their rows, so they must only be taken while no block is written
+    /// (in practice: once the run that writes it has finished).
+    pub unsafe fn adopt(
+        grid: ProcGrid,
+        rows: usize,
+        cols: usize,
+        base: NonNull<f64>,
+        writable: bool,
+    ) -> Self {
+        let mut m = Self::create_virtual(grid, rows, cols);
+        let regions = (0..grid.nranks())
+            .map(|r| match (m.block_origin(r), m.block_dims(r)) {
+                (_, (0, _) | (_, 0)) => (0, 0),
+                ((r0, c0), (br, bc)) => (r0 * cols + c0, (br - 1) * cols + bc),
+            })
+            .collect();
+        // SAFETY: forwarded to our caller; every region lies inside the
+        // caller's `rows · cols` elements (the chunking tiles them).
+        let arena = unsafe { SharedArena::adopt(base, rows * cols, cols, regions, writable) };
+        m.backing = Backing::Real {
+            arena,
+            base: 0,
+            stride: 1,
+        };
+        m
+    }
+
     /// Attach a non-identity slot → cost-rank mapping (hierarchical
     /// staging regions, replica-layer matrices). Set before launching
     /// rank code, like the mask.
@@ -328,38 +373,62 @@ impl DistMatrix {
         (r * c * std::mem::size_of::<f64>()) as u64
     }
 
+    /// The arena guard of `rank`'s block, if real-backed.
+    fn read_guard(&self, rank: usize) -> Option<ReadGuard<'_>> {
+        let (rows, cols) = self.block_dims(rank);
+        match &self.backing {
+            Backing::Virtual => None,
+            Backing::Real { arena, .. } => Some(arena.read_guard(self.region_of(rank), rows, cols)),
+        }
+    }
+
+    /// The exclusive arena guard of `rank`'s block, if real-backed.
+    fn write_guard(&self, rank: usize) -> Option<WriteGuard<'_>> {
+        let (rows, cols) = self.block_dims(rank);
+        match &self.backing {
+            Backing::Virtual => None,
+            Backing::Real { arena, .. } => {
+                Some(arena.write_guard(self.region_of(rank), rows, cols))
+            }
+        }
+    }
+
     /// Read access to `rank`'s block (None data if virtual).
     pub fn read_block(&self, rank: usize) -> BlockRead<'_> {
         let (rows, cols) = self.block_dims(rank);
-        let guard = match &self.backing {
-            Backing::Virtual => None,
-            Backing::Real { arena, .. } => Some(arena.read_guard(self.region_of(rank))),
-        };
-        BlockRead { rows, cols, guard }
+        BlockRead {
+            rows,
+            cols,
+            guard: self.read_guard(rank),
+        }
     }
 
     /// Write access to `rank`'s block (no-op handle if virtual).
     pub fn write_block(&self, rank: usize) -> BlockWrite<'_> {
         let (rows, cols) = self.block_dims(rank);
-        let guard = match &self.backing {
-            Backing::Virtual => None,
-            Backing::Real { arena, .. } => Some(arena.write_guard(self.region_of(rank))),
-        };
-        BlockWrite { rows, cols, guard }
+        BlockWrite {
+            rows,
+            cols,
+            guard: self.write_guard(rank),
+        }
     }
 
-    /// Copy `rank`'s block into `dst` (resized to fit). For a virtual
-    /// matrix, `dst` is cleared. Returns the block dims. This is the
-    /// data-movement half of a one-sided get; the timing half lives in
-    /// the backend.
+    /// Copy `rank`'s block into `dst` (resized to fit), packed
+    /// row-major. For a virtual matrix, `dst` is cleared. Returns the
+    /// block dims. This is the data-movement half of a one-sided get;
+    /// the timing half lives in the backend.
     pub fn copy_block_into(&self, rank: usize, dst: &mut Vec<f64>) -> (usize, usize) {
         let (rows, cols) = self.block_dims(rank);
-        match &self.backing {
-            Backing::Virtual => dst.clear(),
-            Backing::Real { arena, .. } => {
-                let g = arena.read_guard(self.region_of(rank));
-                dst.clear();
-                dst.extend_from_slice(&g.slice()[..rows * cols]);
+        dst.clear();
+        if let Some(g) = self.read_guard(rank) {
+            match g.packed() {
+                Some(all) => dst.extend_from_slice(all),
+                None => {
+                    dst.reserve(rows * cols);
+                    for i in 0..rows {
+                        dst.extend_from_slice(g.row(i));
+                    }
+                }
             }
         }
         (rows, cols)
@@ -371,15 +440,13 @@ impl DistMatrix {
     /// must hold exactly the block's elements, row-major.
     pub fn copy_block_from(&self, rank: usize, src: &[f64]) {
         let (rows, cols) = self.block_dims(rank);
-        let Backing::Real { arena, .. } = &self.backing else {
-            return;
-        };
-        if src.is_empty() && rows * cols > 0 {
-            return; // modeled payload
+        if !self.is_real() || (src.is_empty() && rows * cols > 0) {
+            return; // virtual, or a modeled payload
         }
         assert_eq!(src.len(), rows * cols, "put payload size mismatch");
-        let mut g = arena.write_guard(self.region_of(rank));
-        g.slice_mut()[..rows * cols].copy_from_slice(src);
+        if let Some(mut g) = self.write_guard(rank) {
+            g.mat_mut().copy_from(MatRef::new(rows, cols, cols, src));
+        }
     }
 
     /// Accumulate `scale * src` into `rank`'s block elementwise (the
@@ -387,16 +454,17 @@ impl DistMatrix {
     /// backing or empty payloads.
     pub fn acc_block_from(&self, rank: usize, scale: f64, src: &[f64]) {
         let (rows, cols) = self.block_dims(rank);
-        let Backing::Real { arena, .. } = &self.backing else {
-            return;
-        };
-        if src.is_empty() && rows * cols > 0 {
+        if !self.is_real() || (src.is_empty() && rows * cols > 0) {
             return;
         }
         assert_eq!(src.len(), rows * cols, "acc payload size mismatch");
-        let mut g = arena.write_guard(self.region_of(rank));
-        for (d, s) in g.slice_mut()[..rows * cols].iter_mut().zip(src) {
-            *d += scale * s;
+        if let Some(mut g) = self.write_guard(rank) {
+            let mut dst = g.mat_mut();
+            for i in 0..rows {
+                for (d, s) in dst.row_mut(i).iter_mut().zip(&src[i * cols..]) {
+                    *d += scale * s;
+                }
+            }
         }
     }
 
@@ -406,18 +474,8 @@ impl DistMatrix {
         if beta == 1.0 {
             return;
         }
-        let Backing::Real { arena, .. } = &self.backing else {
-            return;
-        };
-        let (rows, cols) = self.block_dims(rank);
-        let mut g = arena.write_guard(self.region_of(rank));
-        let blk = &mut g.slice_mut()[..rows * cols];
-        if beta == 0.0 {
-            blk.fill(0.0);
-        } else {
-            for v in blk {
-                *v *= beta;
-            }
+        if let Some(mut g) = self.write_guard(rank) {
+            g.mat_mut().scale(beta);
         }
     }
 
@@ -428,35 +486,28 @@ impl DistMatrix {
     /// Panics on shape mismatch or virtual backing.
     pub fn scatter(&self, global: &Matrix) {
         assert_eq!((global.rows(), global.cols()), (self.rows, self.cols));
-        let Backing::Real { arena, .. } = &self.backing else {
-            panic!("scatter() on a virtual DistMatrix");
-        };
+        assert!(self.is_real(), "scatter() on a virtual DistMatrix");
         for rank in 0..self.grid.nranks() {
             let (r0, c0) = self.block_origin(rank);
             let (br, bc) = self.block_dims(rank);
-            let mut w = arena.write_guard(self.region_of(rank));
-            let dst = w.slice_mut();
-            for i in 0..br {
-                let src = &global.as_slice()[(r0 + i) * self.cols + c0..][..bc];
-                dst[i * bc..(i + 1) * bc].copy_from_slice(src);
+            if let Some(mut g) = self.write_guard(rank) {
+                g.mat_mut().copy_from(global.block(r0, c0, br, bc));
             }
         }
     }
 
     /// Assemble the global matrix from all blocks (real backing only).
     pub fn gather(&self) -> Matrix {
-        let Backing::Real { arena, .. } = &self.backing else {
-            panic!("gather() on a virtual DistMatrix");
-        };
+        assert!(self.is_real(), "gather() on a virtual DistMatrix");
         let mut out = Matrix::zeros(self.rows, self.cols);
         for rank in 0..self.grid.nranks() {
             let (r0, c0) = self.block_origin(rank);
             let (br, bc) = self.block_dims(rank);
-            let g = arena.read_guard(self.region_of(rank));
-            let src = g.slice();
-            for i in 0..br {
-                out.as_mut_slice()[(r0 + i) * self.cols + c0..][..bc]
-                    .copy_from_slice(&src[i * bc..(i + 1) * bc]);
+            if let Some(g) = self.read_guard(rank) {
+                let mut dst = out.block_mut(r0, c0, br, bc);
+                for i in 0..br {
+                    dst.row_mut(i).copy_from_slice(g.row(i));
+                }
             }
         }
         out
@@ -472,7 +523,7 @@ impl DistMatrix {
 pub struct BlockRead<'a> {
     rows: usize,
     cols: usize,
-    guard: Option<crate::arena::ReadGuard<'a>>,
+    guard: Option<ReadGuard<'a>>,
 }
 
 impl BlockRead<'_> {
@@ -484,17 +535,10 @@ impl BlockRead<'_> {
         self.cols
     }
 
-    /// Dense view of the block, if real-backed (the region's
-    /// `rows · cols` prefix — shared-arena regions may be longer).
+    /// Strided view of the block, if real-backed (`ld = cols` unless the
+    /// matrix adopted caller storage, where `ld` is the full width).
     pub fn mat(&self) -> Option<MatRef<'_>> {
-        self.guard.as_ref().map(|g| {
-            MatRef::new(
-                self.rows,
-                self.cols,
-                self.cols,
-                &g.slice()[..self.rows * self.cols],
-            )
-        })
+        self.guard.as_ref().map(ReadGuard::mat)
     }
 }
 
@@ -502,7 +546,7 @@ impl BlockRead<'_> {
 pub struct BlockWrite<'a> {
     rows: usize,
     cols: usize,
-    guard: Option<crate::arena::WriteGuard<'a>>,
+    guard: Option<WriteGuard<'a>>,
 }
 
 impl BlockWrite<'_> {
@@ -514,13 +558,9 @@ impl BlockWrite<'_> {
         self.cols
     }
 
-    /// Mutable dense view of the block, if real-backed (the region's
-    /// `rows · cols` prefix).
+    /// Mutable strided view of the block, if real-backed.
     pub fn mat_mut(&mut self) -> Option<MatMut<'_>> {
-        let (rows, cols) = (self.rows, self.cols);
-        self.guard
-            .as_mut()
-            .map(|g| MatMut::new(rows, cols, cols, &mut g.slice_mut()[..rows * cols]))
+        self.guard.as_mut().map(WriteGuard::mat_mut)
     }
 }
 

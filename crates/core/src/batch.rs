@@ -43,7 +43,7 @@
 //! correctness matrix possible.
 
 use crate::driver::{default_grid, TracedRun};
-use crate::layout::{dist_a_in_arena, dist_b_in_arena, dist_c_in_arena};
+use crate::layout::{dist_a_in_arena, dist_b_in_arena, dist_c_in_arena, store_block};
 use crate::memory::batch_region_elems;
 use crate::options::{GemmSpec, SrummaOptions};
 use crate::srumma::{MachineScratch, SrummaMachine, SrummaReport};
@@ -252,11 +252,10 @@ fn build_storage(
 }
 
 /// Stage this rank's stored blocks of entry `e` into its slot: A and B
-/// in stored orientation (element-transposed in place for the `T`
-/// cases, mirroring [`crate::layout::scatter_operands`] without
-/// materializing a transposed copy), C from `c0` or zeros. Writes only
-/// this rank's own regions — no synchronization needed beyond the slot
-/// being free.
+/// in stored orientation (element-transposed block by block for the `T`
+/// cases, by the routine [`crate::layout::scatter_operands`] uses), C
+/// from `c0` or zeros. Writes only this rank's own regions — no
+/// synchronization needed beyond the slot being free.
 fn stage_entry(entry: &BatchEntry, plan: &EntryPlan, rank: usize) {
     // Masked-out operand blocks are never read (their tasks are pruned
     // before the machine runs), so their staging copy is skipped too —
@@ -264,36 +263,10 @@ fn stage_entry(entry: &BatchEntry, plan: &EntryPlan, rank: usize) {
     // stays unconditional: every rank's C tile must be β-initialized
     // even when its entire k-row of tasks vanished.
     if plan.da.block_nonzero(rank) {
-        let (r0, c0) = plan.da.block_origin(rank);
-        let mut w = plan.da.write_block(rank);
-        if let Some(mut dst) = w.mat_mut() {
-            match plan.spec.transa {
-                Op::N => dst.copy_from(entry.a.block(r0, c0, dst.rows(), dst.cols())),
-                Op::T => {
-                    for i in 0..dst.rows() {
-                        for j in 0..dst.cols() {
-                            *dst.at_mut(i, j) = entry.a[(c0 + j, r0 + i)];
-                        }
-                    }
-                }
-            }
-        }
+        store_block(plan.spec.transa, &entry.a, &plan.da, rank);
     }
     if plan.db.block_nonzero(rank) {
-        let (r0, c0) = plan.db.block_origin(rank);
-        let mut w = plan.db.write_block(rank);
-        if let Some(mut dst) = w.mat_mut() {
-            match plan.spec.transb {
-                Op::N => dst.copy_from(entry.b.block(r0, c0, dst.rows(), dst.cols())),
-                Op::T => {
-                    for i in 0..dst.rows() {
-                        for j in 0..dst.cols() {
-                            *dst.at_mut(i, j) = entry.b[(c0 + j, r0 + i)];
-                        }
-                    }
-                }
-            }
-        }
+        store_block(plan.spec.transb, &entry.b, &plan.db, rank);
     }
     {
         let (r0, c0) = plan.dc.block_origin(rank);

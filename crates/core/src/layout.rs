@@ -284,7 +284,8 @@ pub fn check_operands(
 
 /// Scatter logical matrices into their stored distributions: `a` is the
 /// logical `m × k` operand (untransposed), and likewise `b` (`k × n`).
-/// Handles the storage transposition for the `T` cases.
+/// The `T` cases are transposed block by block straight into each
+/// rank's region, with no transposed copy of the whole operand.
 pub fn scatter_operands(
     spec: &GemmSpec,
     dist_a: &DistMatrix,
@@ -295,13 +296,33 @@ pub fn scatter_operands(
     if let Err(e) = check_operands(spec, a, b) {
         panic!("{e}");
     }
-    match spec.transa {
-        Op::N => dist_a.scatter(a),
-        Op::T => dist_a.scatter(&a.transposed()),
+    for rank in 0..dist_a.grid().nranks() {
+        store_block(spec.transa, a, dist_a, rank);
     }
-    match spec.transb {
-        Op::N => dist_b.scatter(b),
-        Op::T => dist_b.scatter(&b.transposed()),
+    for rank in 0..dist_b.grid().nranks() {
+        store_block(spec.transb, b, dist_b, rank);
+    }
+}
+
+/// Write `rank`'s stored block of the logical operand `logical` into
+/// `dist`: a copy of the block for `N`, its element-wise transpose for
+/// `T` (stored block `(i, j)` is logical element `(c0 + j, r0 + i)`).
+/// Writes only `rank`'s own block.
+pub(crate) fn store_block(op: Op, logical: &srumma_dense::Matrix, dist: &DistMatrix, rank: usize) {
+    let (r0, c0) = dist.block_origin(rank);
+    let mut w = dist.write_block(rank);
+    let Some(mut dst) = w.mat_mut() else {
+        return;
+    };
+    match op {
+        Op::N => dst.copy_from(logical.block(r0, c0, dst.rows(), dst.cols())),
+        Op::T => {
+            for i in 0..dst.rows() {
+                for (j, v) in dst.row_mut(i).iter_mut().enumerate() {
+                    *v = logical[(c0 + j, r0 + i)];
+                }
+            }
+        }
     }
 }
 

@@ -9,8 +9,15 @@
 //!
 //! `run` is the only place that validates a request, builds the
 //! distributions (flat ones plus masks, or a [`ReplSet`], plus a
-//! [`HierStageSet`] when staging), scatters the operands, picks the rank
-//! body and runner, and gathers C.
+//! [`HierStageSet`] when staging), picks the rank body and runner, and
+//! hands back C.
+//!
+//! On the host backends a flat run copies nothing: its distributions
+//! adopt the caller's A and B and a freshly allocated C
+//! ([`DistMatrix::adopt`]), every rank reads A and B in place and writes
+//! its C block straight into the returned matrix. The simulator and
+//! replicated runs keep private arenas, scattered from the operands and
+//! gathered at the end; [`Output::staged_bytes`] reports that copy.
 //!
 //! Not every backend × feature combination has a driver: [`SUPPORTED`]
 //! lists those that do, and every other one returns
@@ -31,11 +38,12 @@ use srumma_comm::{
     virtual_run, ChaosComm, Comm, DistMatrix, ExecComm, ExecRunResult, FaultPlan, FaultPlanError,
     SimOptions, ThreadComm,
 };
-use srumma_dense::Matrix;
+use srumma_dense::{Matrix, Op};
 use srumma_model::{Machine, Topology};
 use srumma_sim::RunStats;
 use srumma_trace::TraceEvent;
 use std::fmt;
+use std::ptr::NonNull;
 use std::time::Instant;
 
 /// Where a [`Multiply`] runs.
@@ -161,6 +169,8 @@ pub enum PlanError {
     RealOperandsOnVirtual,
     /// The host backends multiply real data.
     ShapeOnlyOnHost { backend: &'static str },
+    /// The algorithm multiplies untransposed operands only.
+    Transposed { algorithm: &'static str },
     /// No driver for this backend × feature combination.
     Unsupported {
         backend: &'static str,
@@ -209,6 +219,9 @@ impl fmt::Display for PlanError {
             PlanError::ShapeOnlyOnHost { backend } => {
                 write!(f, "the {backend} backend needs real operands")
             }
+            PlanError::Transposed { algorithm } => {
+                write!(f, "{algorithm} supports C = A*B only")
+            }
             PlanError::Unsupported { backend, features } => {
                 write!(f, "the {backend} backend has no {features} driver")
             }
@@ -221,7 +234,7 @@ impl std::error::Error for PlanError {}
 /// A finished multiply.
 #[derive(Debug)]
 pub struct Output {
-    /// The gathered product (`None` for shape-only runs).
+    /// The product (`None` for shape-only runs).
     pub c: Option<Matrix>,
     /// Per-rank and aggregate metrics (modeled seconds on `Sim` and
     /// `Virtual`, wall-clock seconds on the host backends).
@@ -238,6 +251,11 @@ pub struct Output {
     pub staged_panels: Vec<usize>,
     /// The resolved replication factor (1 for unreplicated runs).
     pub replication: usize,
+    /// Bytes the driver copied into or out of private arenas: the
+    /// operand scatter plus the C gather of simulator and replicated
+    /// runs with real operands. Zero on flat host runs, which multiply
+    /// the caller's matrices in place, and on shape-only runs.
+    pub staged_bytes: u64,
 }
 
 /// One multiply: `C ← α·op(A)·op(B)` on C starting at zero.
@@ -389,6 +407,16 @@ impl<'a> Multiply<'a> {
                     features,
                 })
             }
+            // Checked against the caller's spec: in-place host runs hand
+            // the algorithm an untransposed one.
+            Some(_)
+                if matches!(self.alg, Algorithm::Cannon)
+                    && (self.spec.transa, self.spec.transb) != (Op::N, Op::N) =>
+            {
+                Err(PlanError::Transposed {
+                    algorithm: self.alg.name(),
+                })
+            }
             Some(_) => Ok(()),
         }
     }
@@ -396,7 +424,22 @@ impl<'a> Multiply<'a> {
     /// Run the multiply on `nranks` ranks of `backend`.
     pub fn run(&self, nranks: usize, backend: &Backend) -> Result<Output, PlanError> {
         self.check(nranks, backend)?;
-        let spec = &self.spec;
+        let host = matches!(backend, Backend::Threads { .. } | Backend::Exec { .. });
+        // Flat host runs multiply the caller's matrices in place. Those
+        // are the logical m x k and k x n operands, so the run stores
+        // both untransposed whatever the caller's ops: dgemm packs the
+        // same values either way, and C keeps every bit.
+        let in_place = host && self.replication == ReplicationFactor::One;
+        let run_spec = if in_place {
+            GemmSpec {
+                transa: Op::N,
+                transb: Op::N,
+                ..self.spec
+            }
+        } else {
+            self.spec
+        };
+        let spec = &run_spec;
         // SRUMMA-only combinations read the options; the others never do.
         let opts = match self.alg {
             Algorithm::Srumma(o) => o,
@@ -409,14 +452,38 @@ impl<'a> Multiply<'a> {
                 Topology::new(nranks, ranks_per_node.unwrap_or(nranks))
             }
         };
+        // C of an in-place run; its distribution writes into it.
+        let mut c_out = None;
         let (layout, stages) = if self.replication == ReplicationFactor::One {
             let grid = default_grid(nranks);
-            let mut a = dist_a(spec, grid, real);
-            let mut b = dist_b(spec, grid, real);
-            let c = dist_c(spec, grid, real);
-            if let Some((am, bm)) = self.operands {
-                scatter_operands(spec, &a, &b, am, bm);
-            }
+            let (mut a, mut b, c) = match self.operands {
+                Some((am, bm)) if in_place => {
+                    let (m, n, k) = (spec.m, spec.n, spec.k);
+                    let a_base = NonNull::from(am.as_slice()).cast();
+                    let b_base = NonNull::from(bm.as_slice()).cast();
+                    let c_base = NonNull::from(c_out.insert(Matrix::zeros(m, n)).as_mut_slice());
+                    // SAFETY: A and B are borrowed for all of `run`, so
+                    // nothing writes them, and they are adopted read-only.
+                    // C is owned by `run` and untouched until its
+                    // distribution is dropped below, before `c_out` is
+                    // handed back; no rank outlives the runner call.
+                    unsafe {
+                        (
+                            DistMatrix::adopt(grid, m, k, a_base, false),
+                            DistMatrix::adopt(grid, k, n, b_base, false),
+                            DistMatrix::adopt(grid, m, n, c_base.cast(), true),
+                        )
+                    }
+                }
+                _ => {
+                    let a = dist_a(spec, grid, real);
+                    let b = dist_b(spec, grid, real);
+                    if let Some((am, bm)) = self.operands {
+                        scatter_operands(spec, &a, &b, am, bm);
+                    }
+                    (a, b, dist_c(spec, grid, real))
+                }
+            };
             self.masks.apply(spec, &mut a, &mut b);
             let stages = if self.hier {
                 vec![HierStageSet::create(spec, grid, topo, real)]
@@ -509,9 +576,22 @@ impl<'a> Multiply<'a> {
                 (r.outputs, r.wall_seconds, r.trace, r.stats)
             }
         };
-        let (c, replication) = match &layout {
-            Layout::Flat(d) => (real.then(|| d.c.gather()), 1),
-            Layout::Repl(set) => (real.then(|| set.gather()), set.factor()),
+        let replication = match &layout {
+            Layout::Flat(_) => 1,
+            Layout::Repl(set) => set.factor(),
+        };
+        let c = match layout {
+            Layout::Flat(d) if in_place => {
+                drop(d); // releases C before it is handed back
+                c_out
+            }
+            Layout::Flat(d) => real.then(|| d.c.gather()),
+            Layout::Repl(set) => real.then(|| set.gather()),
+        };
+        let staged_bytes = if real && !in_place {
+            8 * (spec.m * spec.k + spec.k * spec.n + spec.m * spec.n) as u64
+        } else {
+            0
         };
         Ok(Output {
             c,
@@ -521,6 +601,7 @@ impl<'a> Multiply<'a> {
             reports: outputs.iter().filter_map(|o| o.0).collect(),
             staged_panels: outputs.iter().map(|o| o.1).collect(),
             replication,
+            staged_bytes,
         })
     }
 }

@@ -142,6 +142,7 @@ fn every_supported_combination_matches_the_serial_reference() {
                     assert!(out.c.is_none(), "{label}: shape-only run gathered C");
                     assert!(out.stats.makespan > 0.0, "{label}: no modeled time");
                     assert_eq!(out.trace.is_empty(), !r.trace, "{label}: trace");
+                    assert_eq!(out.staged_bytes, 0, "{label}: shape-only staged bytes");
                 }
                 if operands == Operands::ShapeOnly {
                     continue;
@@ -161,6 +162,16 @@ fn every_supported_combination_matches_the_serial_reference() {
                 let diff = max_abs_diff(got, &reference(&real, &a, &b));
                 assert!(diff < 1e-9, "{label}: |diff|={diff:e}");
                 assert_eq!(out.trace.is_empty(), !r.trace, "{label}: trace");
+                // Flat host runs multiply the caller's matrices in place;
+                // the others scatter A and B and gather C once.
+                let in_place =
+                    matches!(name, "threads" | "exec") && !features.contains("replicated");
+                let abc = 8 * (spec.m * spec.k + spec.k * spec.n + spec.m * spec.n) as u64;
+                assert_eq!(
+                    out.staged_bytes,
+                    if in_place { 0 } else { abc },
+                    "{label}: staged bytes"
+                );
                 if matches!(alg, Algorithm::Srumma(_)) {
                     assert_eq!(out.reports.len(), NRANKS, "{label}: reports");
                 }
@@ -313,6 +324,21 @@ fn invalid_requests_return_typed_errors() {
             "{} on {}",
             r.features(),
             be.name()
+        );
+    }
+
+    let transposed = Multiply::new(
+        Algorithm::Cannon,
+        GemmSpec::new(Op::N, Op::T, 16, 16, 16),
+        &a,
+        &b,
+    );
+    for be in [sim, threads, Backend::exec(2)] {
+        assert_eq!(
+            err(&transposed, 4, &be),
+            PlanError::Transposed {
+                algorithm: "Cannon"
+            }
         );
     }
 

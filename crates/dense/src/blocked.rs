@@ -632,9 +632,7 @@ fn macro_kernel(
             // Element (ic + is*mr, jc + js*nr) of C within its buffer.
             let r0 = ic + is * mr;
             let c0 = jc + js * nr;
-            let mut tile = c.reborrow().block(r0, c0, rows, cols);
-            let ldc = tile.ld();
-            writeback(&acc, alpha, rows, cols, nr, tile.data_mut(), ldc);
+            writeback(&acc, alpha, nr, &mut c.reborrow().block(r0, c0, rows, cols));
         }
     }
 }
@@ -683,9 +681,7 @@ fn macro_kernel_z(
             }
             let r0 = ic + is * mr;
             let c0 = jc + js * nr;
-            let mut tile = c.reborrow().block(r0, c0, rows, cols);
-            let ldc = tile.ld();
-            writeback(&acc, alpha, rows, cols, nr, tile.data_mut(), ldc);
+            writeback(&acc, alpha, nr, &mut c.reborrow().block(r0, c0, rows, cols));
         }
     }
 }

@@ -37,6 +37,7 @@
 //! detection — never a panic — so one CI script can loop over every
 //! flavor name on any runner.
 
+use crate::matrix::MatMut;
 use std::sync::OnceLock;
 
 /// Micro-tile rows of the scalar, AVX2 and NEON kernels.
@@ -414,29 +415,21 @@ pub fn microkernel(kc: usize, a_sliver: &[f64], b_sliver: &[f64], acc: &mut [f64
 }
 
 /// Write an accumulator tile into `C`, honouring `alpha` and the valid
-/// (non-padded) extent `rows × cols` of the tile. This is the single
-/// writeback path shared by [`crate::blocked`]'s macro-kernel and any
-/// direct micro-kernel caller.
+/// (non-padded) extent of the tile. This is the single writeback path
+/// shared by [`crate::blocked`]'s macro-kernel and any direct
+/// micro-kernel caller.
 ///
-/// `acc` holds an `nr`-wide tile (element `(r, c)` at `r*nr + c`); `c`
-/// points at element `(0, 0)` of the destination tile within a
-/// row-major buffer of leading dimension `ldc`. `beta` is applied by
-/// the caller once per whole-matrix pass (BLAS convention), so this
-/// routine only accumulates.
+/// `acc` holds an `nr`-wide tile (element `(r, c)` at `r*nr + c`);
+/// `tile` is the destination's `rows × cols` view, written one row at a
+/// time. `beta` is applied by the caller once per whole-matrix pass
+/// (BLAS convention), so this routine only accumulates.
 #[inline]
-pub fn writeback(
-    acc: &[f64],
-    alpha: f64,
-    rows: usize,
-    cols: usize,
-    nr: usize,
-    c: &mut [f64],
-    ldc: usize,
-) {
+pub fn writeback(acc: &[f64], alpha: f64, nr: usize, tile: &mut MatMut<'_>) {
+    let (rows, cols) = (tile.rows(), tile.cols());
     debug_assert!(rows <= MR_MAX && cols <= nr);
     debug_assert!(acc.len() >= rows.saturating_sub(1) * nr + cols);
     for r in 0..rows {
-        let dst = &mut c[r * ldc..r * ldc + cols];
+        let dst = tile.row_mut(r);
         let src = &acc[r * nr..r * nr + cols];
         if alpha == 1.0 {
             for (d, s) in dst.iter_mut().zip(src) {
@@ -499,7 +492,7 @@ mod tests {
         }
         let ldc = 10;
         let mut c = vec![1.0; MR * ldc];
-        writeback(&acc, 2.0, 3, 5, NR, &mut c, ldc);
+        writeback(&acc, 2.0, NR, &mut MatMut::new(3, 5, ldc, &mut c));
         for r in 0..MR {
             for j in 0..ldc {
                 let expect = if r < 3 && j < 5 {
@@ -522,7 +515,7 @@ mod tests {
         }
         let ldc = 16;
         let mut c = vec![0.5; MR * ldc];
-        writeback(&acc, 1.0, MR, nr, nr, &mut c, ldc);
+        writeback(&acc, 1.0, nr, &mut MatMut::new(MR, nr, ldc, &mut c));
         for r in 0..MR {
             for j in 0..nr {
                 assert_eq!(c[r * ldc + j], 0.5 + acc[r * nr + j]);
@@ -540,7 +533,7 @@ mod tests {
         }
         let ldc = 11;
         let mut c = vec![0.0; MR_AVX512 * ldc];
-        writeback(&acc, 1.0, 7, 5, nr, &mut c, ldc);
+        writeback(&acc, 1.0, nr, &mut MatMut::new(7, 5, ldc, &mut c));
         for r in 0..MR_AVX512 {
             for j in 0..ldc {
                 let expect = if r < 7 && j < 5 { acc[r * nr + j] } else { 0.0 };

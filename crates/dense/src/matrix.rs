@@ -7,6 +7,7 @@
 //! shared arena) without copying.
 
 use std::fmt;
+use std::marker::PhantomData;
 
 /// An owned, row-major, densely packed `f64` matrix (`ld == cols`).
 #[derive(Clone, PartialEq)]
@@ -116,12 +117,7 @@ impl Matrix {
 
     /// Borrow the whole matrix as a mutable view.
     pub fn as_mut(&mut self) -> MatMut<'_> {
-        MatMut {
-            rows: self.rows,
-            cols: self.cols,
-            ld: self.cols,
-            data: &mut self.data,
-        }
+        MatMut::new(self.rows, self.cols, self.cols, &mut self.data)
     }
 
     /// Borrow the sub-block of `nrows × ncols` starting at `(r0, c0)`.
@@ -276,12 +272,27 @@ impl<'a> MatRef<'a> {
 }
 
 /// A borrowed, mutable, row-major strided view.
+///
+/// The view owns, for `'a`, exactly the `rows × cols` elements at
+/// `ptr + i·ld + j`, not the `ld − cols` gap elements between its rows:
+/// a block of a matrix split into column blocks shares its rows with its
+/// neighbours, so a `&mut [f64]` spanning two of its rows would alias a
+/// neighbour's memory. Slices are therefore only ever built one row at a
+/// time ([`Self::row_mut`]), exactly `cols` wide.
 pub struct MatMut<'a> {
     rows: usize,
     cols: usize,
     ld: usize,
-    data: &'a mut [f64],
+    ptr: *mut f64,
+    _borrow: PhantomData<&'a mut [f64]>,
 }
+
+// SAFETY: a `MatMut` is an exclusive borrow of its elements, like a
+// `&mut [f64]` to them, so it may move to or be shared with another
+// thread exactly when `&mut [f64]` may.
+unsafe impl Send for MatMut<'_> {}
+// SAFETY: as above; `&MatMut` only reads its elements (`at`).
+unsafe impl Sync for MatMut<'_> {}
 
 impl<'a> MatMut<'a> {
     /// Build a mutable view over `data` with explicit leading dimension.
@@ -297,11 +308,26 @@ impl<'a> MatMut<'a> {
                 data.len()
             );
         }
+        // SAFETY: `data` is exclusively borrowed for `'a` and covers
+        // every element of the view (checked above).
+        unsafe { Self::from_raw_parts(data.as_mut_ptr(), rows, cols, ld) }
+    }
+
+    /// Build a mutable view from a raw pointer to element `(0, 0)`.
+    ///
+    /// # Safety
+    /// `ld >= cols`, and for `'a` the elements `ptr + i·ld + j`
+    /// (`i < rows`, `j < cols`) must be valid for reads and writes and
+    /// accessed by nothing but this view. The gap elements between rows
+    /// are never touched through it and may belong to others.
+    pub unsafe fn from_raw_parts(ptr: *mut f64, rows: usize, cols: usize, ld: usize) -> Self {
+        debug_assert!(ld >= cols);
         MatMut {
             rows,
             cols,
             ld,
-            data,
+            ptr,
+            _borrow: PhantomData,
         }
     }
 
@@ -319,72 +345,55 @@ impl<'a> MatMut<'a> {
 
     #[inline]
     pub fn at(&self, i: usize, j: usize) -> f64 {
-        debug_assert!(i < self.rows && j < self.cols);
-        self.data[i * self.ld + j]
+        assert!(i < self.rows && j < self.cols, "({i}, {j}) out of range");
+        // SAFETY: in range (checked), so the element is one of the view's.
+        unsafe { *self.ptr.add(i * self.ld + j) }
     }
 
     #[inline]
     pub fn at_mut(&mut self, i: usize, j: usize) -> &mut f64 {
-        debug_assert!(i < self.rows && j < self.cols);
-        &mut self.data[i * self.ld + j]
+        assert!(i < self.rows && j < self.cols, "({i}, {j}) out of range");
+        // SAFETY: in range (checked); `&mut self` makes it exclusive.
+        unsafe { &mut *self.ptr.add(i * self.ld + j) }
     }
 
+    /// Row `i`: exactly the view's `cols` elements of that row.
     #[inline]
     pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        debug_assert!(i < self.rows);
-        &mut self.data[i * self.ld..i * self.ld + self.cols]
-    }
-
-    /// Raw underlying storage (element `(i, j)` at `i * ld + j`), for
-    /// kernels that index with an explicit leading dimension.
-    #[inline]
-    pub fn data_mut(&mut self) -> &mut [f64] {
-        self.data
-    }
-
-    /// Reborrow as an immutable view.
-    pub fn as_ref(&self) -> MatRef<'_> {
-        MatRef {
-            rows: self.rows,
-            cols: self.cols,
-            ld: self.ld,
-            data: self.data,
-        }
+        assert!(i < self.rows, "row {i} out of range");
+        // SAFETY: row `i`'s `cols` elements belong to the view, and
+        // `&mut self` makes the slice the only live access to them.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(i * self.ld), self.cols) }
     }
 
     /// Reborrow mutably (shorter lifetime).
     pub fn reborrow(&mut self) -> MatMut<'_> {
-        MatMut {
-            rows: self.rows,
-            cols: self.cols,
-            ld: self.ld,
-            data: self.data,
-        }
+        // SAFETY: same elements, borrowed from `self` for the shorter
+        // lifetime, so `self` cannot touch them meanwhile.
+        unsafe { MatMut::from_raw_parts(self.ptr, self.rows, self.cols, self.ld) }
     }
 
     /// Mutable sub-block of `nrows × ncols` starting at `(r0, c0)`.
     pub fn block(self, r0: usize, c0: usize, nrows: usize, ncols: usize) -> MatMut<'a> {
         assert!(r0 + nrows <= self.rows && c0 + ncols <= self.cols);
-        // See `MatRef::block`: empty blocks must not slice out of range.
-        let start = if nrows == 0 || ncols == 0 {
-            0
+        // An empty block may start past the end of an empty view (e.g.
+        // a 0 x k block with c0 > 0); never offset the pointer there.
+        let ptr = if nrows == 0 || ncols == 0 {
+            self.ptr
         } else {
-            r0 * self.ld + c0
+            // SAFETY: `(r0, c0)` is an element of the view (checked).
+            unsafe { self.ptr.add(r0 * self.ld + c0) }
         };
-        MatMut {
-            rows: nrows,
-            cols: ncols,
-            ld: self.ld,
-            data: &mut self.data[start..],
-        }
+        // SAFETY: the sub-block's elements are a subset of the view's,
+        // and `self` is consumed.
+        unsafe { MatMut::from_raw_parts(ptr, nrows, ncols, self.ld) }
     }
 
     /// Overwrite this view from another of the same shape.
     pub fn copy_from(&mut self, src: MatRef<'_>) {
         assert_eq!((self.rows, self.cols), (src.rows(), src.cols()));
         for i in 0..self.rows {
-            let r = src.row(i);
-            self.row_mut(i).copy_from_slice(r);
+            self.row_mut(i).copy_from_slice(src.row(i));
         }
     }
 

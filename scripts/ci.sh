@@ -15,6 +15,12 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== cargo test --release: request and zero-copy oracles =="
+# Host runs write C through strided views of the caller's matrix; an
+# aliasing bug there miscompiles under optimisation, while the debug
+# pass above is where the arena access checker runs.
+cargo test -q --release -p srumma-core --test request --test zero_copy
+
 echo "== benchmark self-tests against the facade =="
 # bench_e2e is its own package (not a workspace member) that compiles
 # against the srumma facade; removing or re-signing a name it uses must
