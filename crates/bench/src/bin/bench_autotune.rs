@@ -4,15 +4,14 @@
 //! of the static `SrummaOptions` defaults: the persisted host profile
 //! (written by `calibrate -- --all`, loaded by
 //! `SrummaOptions::from_profile`) and the online `Tuner` that nudges
-//! prefetch depth and batch window between entries of a batched
-//! stream. Both must *pay for themselves*: this bench times batched
+//! prefetch depth between entries of a batched stream. Both must *pay for themselves*: this bench times batched
 //! streams with the tuner off (static Auto options) and on
 //! (profile-resolved options + `with_tuner`) and gates on the ratio.
 //!
 //! Two properties are enforced as hard failures, not just recorded:
 //!
-//! * **bitwise neutrality** — the tuner only moves fetch scheduling
-//!   and fence gating, never the gemm call order, so with the same
+//! * **bitwise neutrality** — the tuner only moves fetch scheduling,
+//!   never the gemm call order, so with the same
 //!   base options the tuned outputs must be *bit-identical* to the
 //!   untuned outputs (`max_abs_diff == 0.0`);
 //! * **non-regression** — `tuned_speedup_min` (worst static/tuned
@@ -102,8 +101,8 @@ fn best_of<F: FnMut() -> f64>(samples: usize, mut f: F) -> f64 {
 }
 
 /// Assert tuned and untuned outputs are *bit-identical* — the tuner
-/// moves prefetch depth and the effective slot window, neither of
-/// which may perturb the gemm accumulation order.
+/// moves the prefetch depth, which may not perturb the gemm
+/// accumulation order.
 fn assert_bitwise(tag: &str, tuned: &[Matrix], untuned: &[Matrix]) {
     for (e, (got, want)) in tuned.iter().zip(untuned).enumerate() {
         let diff = max_abs_diff(got, want);
@@ -116,8 +115,9 @@ fn assert_bitwise(tag: &str, tuned: &[Matrix], untuned: &[Matrix]) {
 }
 
 /// CI smoke: the probe path end-to-end plus tuner neutrality on an
-/// oversubscribed pool (2 workers for 8 ranks — the shape where a
-/// window/fence bug deadlocks; `timeout` in ci.sh bounds that).
+/// oversubscribed pool (2 workers for 8 ranks, where every worker
+/// interleaves several ranks' entries; `timeout` in ci.sh bounds a
+/// hang).
 fn smoke() {
     // 1. Zero-config probe path: no profile needed, answers must match
     // the serial reference.
@@ -162,8 +162,7 @@ fn smoke() {
     });
     // Sanity bound, not a perf gate (that is the full sweep's job): an
     // oversubscribed pool on a loaded CI host is noisy, so only flag
-    // the pathological failure modes — per-entry tuner machinery cost
-    // or a mis-gated window serializing the stream.
+    // the pathological failure mode — per-entry tuner machinery cost.
     assert!(
         t_tuned <= t_static * 2.0,
         "smoke: tuner overhead out of bounds: tuned {:.3}ms vs static {:.3}ms",

@@ -4,7 +4,7 @@
 //! layouts (`--kernels`), find the Strassen recursion cutoff
 //! (`--strassen`), probe the work-stealing executor's worker count and
 //! prefetch depth (`--workers`), find the batched-driver amortization
-//! crossover and best slot-ring window (`--batch`), and probe
+//! crossover (`--batch`), and probe
 //! node-group sizes / replication factors for the hierarchical driver
 //! (`--topology`, which also writes `topology_profile.json`).
 //!
@@ -324,8 +324,8 @@ fn probe_workers() -> HostProfile {
 /// streams of B small multiplies as a loop of standalone `multiply_exec`
 /// calls and as one `multiply_batch_exec`, and report the smallest B
 /// where the batched path wins — the point past which callers with a
-/// stream of tiles should switch to `BatchSpec`. A second sweep at the
-/// longest stream probes the slot-ring window.
+/// stream of tiles should switch to `BatchSpec`. It prints its verdict
+/// and pins no profile field.
 fn probe_batch() -> HostProfile {
     let (nranks, n) = (16usize, 64usize);
     let workers = std::thread::available_parallelism()
@@ -383,36 +383,7 @@ fn probe_batch() -> HostProfile {
         None => println!("crossover: batched never won up to batch size 32 on this host"),
     }
 
-    // Window sweep on a 16-entry stream: how much look-ahead (and
-    // therefore slot-ring memory) actually pays on this host.
-    let mut batch = BatchSpec::new();
-    for e in 0..16 {
-        let spec = GemmSpec::square(n);
-        let a = Matrix::random(n, n, 700 + 2 * e as u64);
-        let bm = Matrix::random(n, n, 701 + 2 * e as u64);
-        batch.push(BatchEntry::new(spec, a, bm));
-    }
-    println!("slot-ring window probe (16 entries, {n}x{n} tiles, best of 3):");
-    let mut best_window = (f64::INFINITY, 3usize);
-    for &w in &[1usize, 2, 3, 4, 6, 8] {
-        let wb = batch.clone().with_window(w);
-        let _ = multiply_batch_exec(&wb, nranks, workers); // warm-up
-        let mut min = f64::INFINITY;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            let _ = multiply_batch_exec(&wb, nranks, workers);
-            min = min.min(t0.elapsed().as_secs_f64());
-        }
-        println!("  window={w:<2} {:>8.2} ms", min * 1e3);
-        if min < best_window.0 {
-            best_window = (min, w);
-        }
-    }
-    println!("best: window {}", best_window.1);
-    HostProfile {
-        batch_window: Some(best_window.1),
-        ..HostProfile::new()
-    }
+    HostProfile::new()
 }
 
 /// Probe node-group sizes and replication factors on this host: run

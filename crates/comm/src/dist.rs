@@ -30,16 +30,8 @@ enum Backing {
     /// Shape only; no elements exist.
     Virtual,
     /// Real elements in a shared arena: rank `r`'s block lives in
-    /// region `base + stride · r`. A privately allocated or adopted
-    /// matrix uses `base = 0, stride = 1`; the batched driver instead
-    /// threads many matrices through **one** arena (regions sized to the
-    /// batch high-water mark), so a region may be *longer* than the
-    /// block it currently holds — every accessor views only the block.
-    Real {
-        arena: Arc<SharedArena>,
-        base: usize,
-        stride: usize,
-    },
+    /// region `r`.
+    Real(Arc<SharedArena>),
 }
 
 /// How grid blocks map to rank ids.
@@ -146,11 +138,7 @@ impl DistMatrix {
                 })
                 .collect();
             let (arena, _offsets) = SharedArena::new(&lens);
-            Backing::Real {
-                arena,
-                base: 0,
-                stride: 1,
-            }
+            Backing::Real(arena)
         } else {
             Backing::Virtual
         };
@@ -160,46 +148,6 @@ impl DistMatrix {
             cols,
             order,
             backing,
-            mask: None,
-            cost: CostMap::Identity,
-        }
-    }
-
-    /// Create a distributed matrix **inside an existing shared arena**:
-    /// rank `r`'s block occupies the prefix of region `base + stride·r`.
-    /// This is how the batched driver backs a whole stream of matrices
-    /// with one collective allocation — regions are sized to the batch
-    /// high-water mark and reused slot-by-slot, so each region must be
-    /// at least as long as the block mapped into it.
-    pub fn create_in_arena(
-        grid: ProcGrid,
-        rows: usize,
-        cols: usize,
-        order: RankOrder,
-        arena: Arc<SharedArena>,
-        base: usize,
-        stride: usize,
-    ) -> Self {
-        for r in 0..grid.nranks() {
-            let (br, bc) = Self::dims_for(grid, rows, cols, order, r);
-            let (_, len) = arena.region(base + stride * r);
-            assert!(
-                len >= br * bc,
-                "arena region {} holds {len} elems, block of rank {r} needs {}",
-                base + stride * r,
-                br * bc
-            );
-        }
-        DistMatrix {
-            grid,
-            rows,
-            cols,
-            order,
-            backing: Backing::Real {
-                arena,
-                base,
-                stride,
-            },
             mask: None,
             cost: CostMap::Identity,
         }
@@ -238,11 +186,7 @@ impl DistMatrix {
         // SAFETY: forwarded to our caller; every region lies inside the
         // caller's `rows · cols` elements (the chunking tiles them).
         let arena = unsafe { SharedArena::adopt(base, rows * cols, cols, regions, writable) };
-        m.backing = Backing::Real {
-            arena,
-            base: 0,
-            stride: 1,
-        };
+        m.backing = Backing::Real(arena);
         m
     }
 
@@ -259,14 +203,6 @@ impl DistMatrix {
     #[inline]
     pub fn cost_rank(&self, slot: usize) -> usize {
         self.cost.cost_rank(slot)
-    }
-
-    /// Arena region id of `rank`'s block (real backing only).
-    fn region_of(&self, rank: usize) -> usize {
-        match &self.backing {
-            Backing::Real { base, stride, .. } => base + stride * rank,
-            Backing::Virtual => unreachable!("virtual matrices have no regions"),
-        }
     }
 
     /// Attach a block-sparsity mask. The mask is indexed by **stored**
@@ -315,7 +251,7 @@ impl DistMatrix {
 
     /// Whether real elements back this matrix.
     pub fn is_real(&self) -> bool {
-        matches!(self.backing, Backing::Real { .. })
+        matches!(self.backing, Backing::Real(_))
     }
 
     pub fn grid(&self) -> ProcGrid {
@@ -378,7 +314,7 @@ impl DistMatrix {
         let (rows, cols) = self.block_dims(rank);
         match &self.backing {
             Backing::Virtual => None,
-            Backing::Real { arena, .. } => Some(arena.read_guard(self.region_of(rank), rows, cols)),
+            Backing::Real(arena) => Some(arena.read_guard(rank, rows, cols)),
         }
     }
 
@@ -387,9 +323,7 @@ impl DistMatrix {
         let (rows, cols) = self.block_dims(rank);
         match &self.backing {
             Backing::Virtual => None,
-            Backing::Real { arena, .. } => {
-                Some(arena.write_guard(self.region_of(rank), rows, cols))
-            }
+            Backing::Real(arena) => Some(arena.write_guard(rank, rows, cols)),
         }
     }
 

@@ -123,19 +123,17 @@ struct Global {
     sleepers: usize,
 }
 
-/// Multi-fence synchronization state: the classic split barrier
-/// generalized so every rank may be **several fences ahead** of the
-/// slowest rank.
+/// Fence synchronization state: the split barrier behind
+/// [`ExecComm::barrier_try`] and the gated ranks' blocking barrier,
+/// counted per rank.
 ///
 /// Every rank arrives at fences in the same program order, so a rank's
 /// `i`-th arrival is globally fence `i`. Fence `f` is complete once
 /// every rank has made at least `f + 1` arrivals — i.e. when
-/// `completed = min(arrived) > f`. A plain count/generation barrier
-/// breaks here: a fast rank's arrival at fence `f + 1` must not count
-/// toward fence `f`'s quorum, which is exactly what per-rank arrival
-/// counters capture. The classic full barrier is the special case where
-/// every rank waits on its own latest fence before arriving at the
-/// next.
+/// `completed = min(arrived) > f`. Per-rank arrival counters (rather
+/// than one count/generation pair) are what let a survivor arrive on a
+/// dead rank's behalf ([`ExecComm::fence_arrive_for`]): the proxy
+/// arrival advances exactly that rank's count.
 struct FenceSt {
     /// Arrivals per rank (rank `r`'s next arrival opens fence
     /// `arrived[r]`).
@@ -144,25 +142,6 @@ struct FenceSt {
     completed: u64,
     /// Parked ranks: `(rank, fence awaited)`.
     waiters: Vec<(usize, u64)>,
-    /// Ranks whose fence obligations have been retired (declared dead
-    /// under fault injection): the frontier ignores them so batches
-    /// drain instead of waiting forever on arrivals that cannot come.
-    retired: Vec<bool>,
-}
-
-impl FenceSt {
-    /// The completion frontier over **live** ranks: `min(arrived)`
-    /// among non-retired ranks. With every rank retired there is no one
-    /// left to wait for, so every fence counts as complete.
-    fn frontier(&self) -> u64 {
-        self.arrived
-            .iter()
-            .zip(&self.retired)
-            .filter(|&(_, &dead)| !dead)
-            .map(|(&a, _)| a)
-            .min()
-            .unwrap_or(u64::MAX)
-    }
 }
 
 /// The shared scheduler: everything both `ExecComm` and the workers
@@ -237,7 +216,6 @@ impl SchedCore {
                 arrived: vec![0; nranks],
                 completed: 0,
                 waiters: Vec::new(),
-                retired: vec![false; nranks],
             }),
             mail: (0..nranks).map(|_| Mutex::new(VecDeque::new())).collect(),
             remaining: AtomicUsize::new(nranks),
@@ -388,13 +366,11 @@ impl SchedCore {
         }
     }
 
-    // ---- epoch fences -----------------------------------------------
+    // ---- fences ----------------------------------------------------
 
-    /// Arrive at this rank's next fence; returns the fence index (the
+    /// Arrive at rank `id`'s next fence; returns the fence index (the
     /// rank's 0-based arrival count). Arrival never blocks — waiting is
-    /// a separate [`Self::fence_check`] / park loop, which is what lets
-    /// a rank arrive at several fences (stage entry `i+1`, finish entry
-    /// `i`) before anyone waits on the first.
+    /// a separate [`Self::fence_check`] / park loop.
     fn fence_arrive(&self, id: usize) -> u64 {
         let mut b = relock(&self.fences);
         let fence = b.arrived[id];
@@ -403,10 +379,10 @@ impl SchedCore {
         fence
     }
 
-    /// Recompute the live frontier and release any waiters now behind
-    /// it (wake after dropping the lock — wake() takes per-task locks).
+    /// Recompute the frontier and release any waiters now behind it
+    /// (wake after dropping the lock — wake() takes per-task locks).
     fn fence_advance(&self, mut b: MutexGuard<'_, FenceSt>) {
-        let frontier = b.frontier();
+        let frontier = b.arrived.iter().copied().min().unwrap_or(u64::MAX);
         if frontier > b.completed {
             b.completed = frontier;
             let mut woken = Vec::new();
@@ -423,20 +399,6 @@ impl SchedCore {
                 self.wake(w);
             }
         }
-    }
-
-    /// Retire a dead rank's fence obligations: it is removed from every
-    /// current and future fence quorum, so in-flight batches drain
-    /// instead of hanging on arrivals that can never come. Idempotent.
-    /// Note this releases *synchronization* only — re-executing the
-    /// dead rank's outstanding work is the chaos rank task's job.
-    fn retire_rank(&self, rank: usize) {
-        let mut b = relock(&self.fences);
-        if b.retired[rank] {
-            return;
-        }
-        b.retired[rank] = true;
-        self.fence_advance(b);
     }
 
     /// Whether fence `f` has completed; if not, register `id` as a
@@ -551,23 +513,6 @@ impl ExecComm {
         }
     }
 
-    /// Arrive at this rank's next **epoch fence** and return its index.
-    /// Never blocks. Every rank must arrive at fences in the same
-    /// program order (the batched driver's per-entry "staged" and
-    /// "done" fences); fence `f` completes once every rank has made its
-    /// `f`-th arrival. Pair with [`Self::fence_try`] to wait.
-    pub fn fence_arrive(&mut self) -> u64 {
-        self.core.fence_arrive(self.rank)
-    }
-
-    /// Poll fence `f` (state-machine ranks): `true` once it completed;
-    /// otherwise this rank is registered as a waiter and the caller
-    /// should return [`Step::Park`] — the completing arrival re-enqueues
-    /// the task.
-    pub fn fence_try(&mut self, f: u64) -> bool {
-        self.core.fence_check(self.rank, f)
-    }
-
     /// Arrive at the next fence **on behalf of another rank** — the
     /// re-execution protocol's proxy arrival: a survivor that has
     /// finished a dead rank's outstanding tasks discharges that rank's
@@ -575,14 +520,6 @@ impl ExecComm {
     /// before the re-executed work has actually been done.
     pub fn fence_arrive_for(&mut self, rank: usize) -> u64 {
         self.core.fence_arrive(rank)
-    }
-
-    /// Retire `rank` from every current and future fence quorum
-    /// (fail-stop death with **no** re-execution — batches drain, but
-    /// nobody vouches for the dead rank's unfinished work). Prefer
-    /// [`Self::fence_arrive_for`] when survivors re-execute.
-    pub fn fence_retire(&mut self, rank: usize) {
-        self.core.retire_rank(rank);
     }
 
     /// Wake every other rank (a dying rank calls this after publishing
@@ -1231,43 +1168,10 @@ where
 
 #[cfg(test)]
 mod tests {
-    //! Epoch/generation counter edges under fault injection: these need
+    //! Fence counter edges under fault injection: these need
     //! the private `SchedCore`, so they live here rather than in the
     //! integration suite.
     use super::*;
-
-    #[test]
-    fn retiring_a_dead_rank_completes_its_pending_fences() {
-        let core = SchedCore::new(3, 1, false, None);
-        // Mid-batch: ranks 0 and 1 arrive at fence 0, rank 2 is dead
-        // and never will. The fence must not complete yet...
-        assert_eq!(core.fence_arrive(0), 0);
-        assert_eq!(core.fence_arrive(1), 0);
-        assert!(!core.fence_check(0, 0));
-        // ...until the dead rank's obligations are retired, which both
-        // completes fence 0 and removes rank 2 from future quorums.
-        core.retire_rank(2);
-        assert!(core.fence_check(0, 0));
-        assert_eq!(core.fence_arrive(0), 1);
-        assert_eq!(core.fence_arrive(1), 1);
-        assert!(core.fence_check(1, 1), "retired rank gates no later fence");
-    }
-
-    #[test]
-    fn retirement_releases_parked_waiters() {
-        let core = SchedCore::new(2, 1, false, None);
-        core.fence_arrive(0);
-        // Rank 0 is parked waiting on fence 0; rank 1 dies without
-        // arriving. Retirement must move the waiter back to the queue
-        // (the batch-drain path: survivors resume instead of hanging).
-        assert!(!core.fence_check(0, 0));
-        relock(&core.tasks[0].st).phase = Phase::Parked;
-        core.retire_rank(1);
-        assert_eq!(relock(&core.tasks[0].st).phase, Phase::Queued);
-        assert!(core.fence_check(0, 0));
-        // Idempotent: retiring again neither panics nor double-wakes.
-        core.retire_rank(1);
-    }
 
     #[test]
     fn proxy_arrival_discharges_a_dead_ranks_barrier() {
@@ -1280,15 +1184,6 @@ mod tests {
         assert_eq!(core.fence_arrive(2), 0, "proxy arrival uses rank 2's count");
         assert!(core.fence_check(0, 0));
         assert!(core.fence_check(1, 0));
-    }
-
-    #[test]
-    fn all_ranks_retired_completes_everything() {
-        let core = SchedCore::new(2, 1, false, None);
-        core.retire_rank(0);
-        core.retire_rank(1);
-        assert!(core.fence_check(0, 0));
-        assert!(core.fence_check(1, 41));
     }
 
     #[test]

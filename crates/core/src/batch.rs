@@ -1,67 +1,55 @@
-//! Batched multi-GEMM driver: one executor, one arena, amortized
-//! synchronization across a stream of multiplies.
+//! Batched multi-GEMM driver: one worker pool and no synchronization
+//! across a stream of multiplies.
 //!
-//! SRUMMA's per-multiply fixed costs — arena allocation, rank spawn,
-//! and the open/close barrier pair — are negligible for one large
-//! product but dominate a *stream* of small-to-medium tiles (the
+//! SRUMMA's per-multiply fixed costs — operand distribution, rank
+//! spawn, and the open/close barrier pair — are negligible for one
+//! large product but dominate a *stream* of small-to-medium tiles (the
 //! chemistry-style workloads behind task-based SUMMA descendants).
-//! This module runs a whole [`BatchSpec`] with those costs paid once:
+//! This module runs a whole [`BatchSpec`] with those costs paid once
+//! or not at all:
 //!
-//! * **one arena** — a ring of `window` slots, each holding one A, B
-//!   and C region per rank, sized up front to the batch high-water
-//!   mark ([`crate::memory::batch_region_elems`]); entry `e` lives in
-//!   slot `e % window`;
+//! * **in place** — every entry's distributions adopt the caller's A
+//!   and B (read-only) and the entry's freshly allocated output C
+//!   ([`DistMatrix::adopt`], DESIGN.md §17 "Operand ownership"), so no
+//!   operand is staged and no C block is extracted;
 //! * **one worker pool** — [`multiply_batch_exec`] keeps a single
 //!   `ExecComm` executor (and each rank's gemm workspace and
 //!   [`MachineScratch`]) alive across every entry, so
 //!   `ws_grow_count() ≤ 1` holds for the whole stream;
-//! * **epoch fences instead of barriers** — each entry has a *staged*
-//!   fence (all ranks loaded its operands) and a *done* fence (all
-//!   ranks computed and extracted it), built on the executor's
-//!   never-blocking [`srumma_comm::ExecComm::fence_arrive`] /
-//!   [`srumma_comm::ExecComm::fence_try`]. A rank that finishes entry
-//!   `i` immediately stages entry `i+1` while stragglers finish `i` —
-//!   the paper's communication/computation overlap lifted from the
-//!   task level to the batch level.
+//! * **no fences** — operands are immutable and each C block has one
+//!   writer, its owner, so a rank starts entry `e+1` the moment it
+//!   finishes its part of entry `e`, whatever its peers are doing. The
+//!   outputs are handed back once every rank has finished.
 //!
-//! Per rank, with `n` entries and a `window ≥ 2` slot ring:
+//! Per rank, with `n` entries:
 //!
 //! ```text
-//! stage(0); arrive staged(0)
 //! for e in 0..n:
-//!     if e+1 < n:
-//!         if e+1 ≥ window: wait done(e+1−window)   # slot must be free
-//!         stage(e+1); arrive staged(e+1)
-//!     wait staged(e); compute(e); extract(e); arrive done(e)
+//!     copy c0's block into my C block (if c0 is given)
+//!     build the machine (β pre-pass), run my tasks, keep the scratch
 //! ```
 //!
-//! `window == 1` degenerates to the serialized variant (stage gated on
-//! the previous entry's done fence) — the loop-of-multiplies shape,
-//! still on one arena and one pool. Blocking backends (threads,
-//! simulator) run the same program with every `arrive` a full barrier
-//! and every `wait` a no-op, which is what makes the three-backend
-//! correctness matrix possible.
+//! The executor runs this loop as one [`BatchRankTask`] per rank that
+//! yields every few machine steps and never parks; threads and the
+//! simulator run it straight through, which is what makes the
+//! three-backend correctness matrix possible.
 
 use crate::driver::{default_grid, TracedRun};
-use crate::layout::{dist_a_in_arena, dist_b_in_arena, dist_c_in_arena, store_block};
-use crate::memory::batch_region_elems;
 use crate::options::{GemmSpec, SrummaOptions};
 use crate::srumma::{MachineScratch, SrummaMachine, SrummaReport};
 use crate::tune::{TunerCell, TunerStep};
 use srumma_comm::{
-    exec_run_tasks, sim_run, thread_run, Comm, DistMatrix, ExecComm, RankTask, SharedArena,
-    SimOptions, Step,
+    exec_run_tasks, sim_run, thread_run, Comm, DistMatrix, ExecComm, RankTask, SimOptions, Step,
 };
 use srumma_dense::{BlockMask, Matrix, Op};
 use srumma_model::Machine;
 use srumma_trace::{BatchStats, EntryRankSample, EntryStats};
-use std::sync::{Arc, Mutex};
+use std::ptr::NonNull;
 
 /// One multiply of a batch: a spec, its logical operands (`a` is
-/// `m × k`, `b` is `k × n`, transposition resolved by the layout layer
-/// exactly as in [`crate::layout::scatter_operands`]), an optional
-/// initial C (`m × n`, scaled by `spec.beta`) and an optional per-entry
-/// options override.
+/// `m × k`, `b` is `k × n`, whatever the spec's ops — the run reads
+/// them where they lie), an optional initial C (`m × n`, scaled by
+/// `spec.beta`) and an optional per-entry options override.
 #[derive(Clone)]
 pub struct BatchEntry {
     /// The multiply.
@@ -76,7 +64,7 @@ pub struct BatchEntry {
     pub opts: Option<SrummaOptions>,
     /// Logical block-sparsity mask of A (`p` C-row blocks × `q`
     /// k-panels of the run grid). Masked blocks are declared zero:
-    /// their staging, gets and gemm segments are skipped entirely.
+    /// their gets and gemm segments are skipped entirely.
     pub mask_a: Option<BlockMask>,
     /// Logical mask of B (`p` k-panels × `q` C-column blocks).
     pub mask_b: Option<BlockMask>,
@@ -114,8 +102,7 @@ impl BatchEntry {
     /// Declare block-sparsity structure for the operands (either mask
     /// may be `None` ≡ dense). Masks are **logical**: shaped by the run
     /// grid's blocking (`p × q`), with A's columns and B's rows indexing
-    /// k-panels — the layout layer transposes them to stored
-    /// coordinates for the `T` cases. Whatever data sits inside a
+    /// k-panels, whatever the spec's ops. Whatever data sits inside a
     /// masked block is ignored.
     pub fn with_masks(mut self, mask_a: Option<BlockMask>, mask_b: Option<BlockMask>) -> Self {
         self.mask_a = mask_a;
@@ -124,18 +111,13 @@ impl BatchEntry {
     }
 }
 
-/// A stream of multiplies to run on one executor and one arena.
+/// A stream of multiplies to run on one worker pool.
 #[derive(Clone)]
 pub struct BatchSpec {
     /// The entries, executed in order (results are order-stable).
     pub entries: Vec<BatchEntry>,
     /// Default options for entries without an override.
     pub opts: SrummaOptions,
-    /// Slot-ring size: how many entries may be resident at once.
-    /// `1` serializes entries (the loop-of-multiplies shape); the
-    /// default `3` lets a rank stage entry `e+1` while it computes `e`
-    /// and stragglers still read `e−1`.
-    pub window: usize,
 }
 
 impl Default for BatchSpec {
@@ -145,25 +127,17 @@ impl Default for BatchSpec {
 }
 
 impl BatchSpec {
-    /// An empty batch with default options and a 3-slot ring.
+    /// An empty batch with default options.
     pub fn new() -> Self {
         BatchSpec {
             entries: Vec::new(),
             opts: SrummaOptions::default(),
-            window: 3,
         }
     }
 
     /// Set the default options for all entries.
     pub fn with_opts(mut self, opts: SrummaOptions) -> Self {
         self.opts = opts;
-        self
-    }
-
-    /// Set the slot-ring size (clamped to `[1, entries]` at run time).
-    pub fn with_window(mut self, window: usize) -> Self {
-        assert!(window > 0, "batch window must be at least 1");
-        self.window = window;
         self
     }
 
@@ -183,8 +157,11 @@ impl BatchSpec {
     }
 }
 
-/// Per-entry layout over the shared slot ring.
+/// One entry's distributions, adopted in place.
 struct EntryPlan {
+    /// The run spec: the caller's with both operands stored `N`, since
+    /// the adopted A and B are the logical `m × k` and `k × n`
+    /// matrices (dgemm packs the same values, C keeps every bit).
     spec: GemmSpec,
     opts: SrummaOptions,
     da: DistMatrix,
@@ -192,28 +169,21 @@ struct EntryPlan {
     dc: DistMatrix,
 }
 
-/// Build the one shared arena (slot ring sized to the batch high-water
-/// mark) and the per-entry distributed views into it. Region id of rank
-/// `r`'s role-`o` block in slot `s` is `s·nranks·3 + 3r + o` — i.e.
-/// each entry's `DistMatrix` uses `base = slot·nranks·3 + role`,
-/// `stride = 3`.
-fn build_storage(
+/// Allocate every entry's output, adopt the operands and outputs as
+/// distributions over `nranks` ranks, hand the plans to `run` (which
+/// returns each rank's results, the run's wall seconds and an extra),
+/// then release the distributions and hand back the outputs.
+fn run_in_place<R>(
     batch: &BatchSpec,
-    grid: srumma_model::ProcGrid,
-    window: usize,
-) -> (Arc<SharedArena>, Vec<EntryPlan>) {
-    let n = grid.nranks();
-    let specs: Vec<GemmSpec> = batch.entries.iter().map(|e| e.spec).collect();
-    let (ea, eb, ec) = batch_region_elems(&specs, grid);
-    let mut lens = Vec::with_capacity(window * n * 3);
-    for _slot in 0..window {
-        for r in 0..n {
-            lens.push(ea[r]);
-            lens.push(eb[r]);
-            lens.push(ec[r]);
-        }
-    }
-    let (arena, _offsets) = SharedArena::new(&lens);
+    nranks: usize,
+    run: impl FnOnce(&[EntryPlan]) -> (Vec<BatchRankOut>, f64, R),
+) -> (BatchResult, R) {
+    let grid = default_grid(nranks);
+    let mut outputs: Vec<Matrix> = batch
+        .entries
+        .iter()
+        .map(|e| Matrix::zeros(e.spec.m, e.spec.n))
+        .collect();
     // Clamp explicit cache blocks to the stream's high-water shape,
     // once for the whole batch: per-rank workspaces then size for what
     // the largest entry can touch instead of a profile's paper-scale
@@ -224,77 +194,57 @@ fn build_storage(
     let (hm, hk, hn) = batch.entries.iter().fold((0, 0, 0), |(m, k, n), e| {
         (m.max(e.spec.m), k.max(e.spec.k), n.max(e.spec.n))
     });
-    let plans = batch
+    let plans: Vec<EntryPlan> = batch
         .entries
         .iter()
+        .zip(outputs.iter_mut())
         .enumerate()
-        .map(|(e, entry)| {
-            let slot = e % window;
-            let base = slot * n * 3;
-            let mut da = dist_a_in_arena(&entry.spec, grid, Arc::clone(&arena), base, 3);
-            let mut db = dist_b_in_arena(&entry.spec, grid, Arc::clone(&arena), base + 1, 3);
-            if let Some(m) = &entry.mask_a {
-                crate::layout::set_a_mask(&entry.spec, &mut da, m.clone());
+        .map(|(e, (entry, out))| {
+            let spec = GemmSpec {
+                transa: Op::N,
+                transb: Op::N,
+                ..entry.spec
+            };
+            let (m, n, k) = (spec.m, spec.n, spec.k);
+            let a_base = NonNull::from(entry.a.as_slice()).cast();
+            let b_base = NonNull::from(entry.b.as_slice()).cast();
+            let c_base = NonNull::from(out.as_mut_slice()).cast();
+            // SAFETY: `batch` is borrowed shared for this whole call,
+            // so the entry's A stays valid and nothing writes it while
+            // the plan lives; it is adopted read-only.
+            let mut da = unsafe { DistMatrix::adopt(grid, m, k, a_base, false) };
+            // SAFETY: as for A — B is part of the shared-borrowed
+            // `batch`, alive and unwritten for this call, read-only.
+            let mut db = unsafe { DistMatrix::adopt(grid, k, n, b_base, false) };
+            // SAFETY: the output is owned by this function and neither
+            // read nor written here until `plans` is dropped below:
+            // during the run each block is written only through its
+            // owner's write guard, and no rank outlives `run`. Moving
+            // `outputs` afterwards does not move the element buffers.
+            let dc = unsafe { DistMatrix::adopt(grid, m, n, c_base, true) };
+            // The masks are logical, and so is the run spec.
+            if let Some(mask) = &entry.mask_a {
+                crate::layout::set_a_mask(&spec, &mut da, mask.clone());
             }
-            if let Some(m) = &entry.mask_b {
-                crate::layout::set_b_mask(&entry.spec, &mut db, m.clone());
+            if let Some(mask) = &entry.mask_b {
+                crate::layout::set_b_mask(&spec, &mut db, mask.clone());
             }
             EntryPlan {
-                spec: entry.spec,
+                spec,
                 opts: batch.entry_opts(e).clamp_gemm_to(hm, hk, hn),
                 da,
                 db,
-                dc: dist_c_in_arena(&entry.spec, grid, Arc::clone(&arena), base + 2, 3),
+                dc,
             }
         })
         .collect();
-    (arena, plans)
-}
-
-/// Stage this rank's stored blocks of entry `e` into its slot: A and B
-/// in stored orientation (element-transposed block by block for the `T`
-/// cases, by the routine [`crate::layout::scatter_operands`] uses), C
-/// from `c0` or zeros. Writes only this rank's own regions — no
-/// synchronization needed beyond the slot being free.
-fn stage_entry(entry: &BatchEntry, plan: &EntryPlan, rank: usize) {
-    // Masked-out operand blocks are never read (their tasks are pruned
-    // before the machine runs), so their staging copy is skipped too —
-    // the slot region keeps whatever stale data it held. C staging
-    // stays unconditional: every rank's C tile must be β-initialized
-    // even when its entire k-row of tasks vanished.
-    if plan.da.block_nonzero(rank) {
-        store_block(plan.spec.transa, &entry.a, &plan.da, rank);
-    }
-    if plan.db.block_nonzero(rank) {
-        store_block(plan.spec.transb, &entry.b, &plan.db, rank);
-    }
-    {
-        let (r0, c0) = plan.dc.block_origin(rank);
-        let mut w = plan.dc.write_block(rank);
-        if let Some(mut dst) = w.mat_mut() {
-            // A slot's C region holds a previous entry's stale result —
-            // zeros must be written explicitly.
-            match &entry.c0 {
-                Some(c) => dst.copy_from(c.block(r0, c0, dst.rows(), dst.cols())),
-                None => dst.fill(0.0),
-            }
-        }
-    }
-}
-
-/// Copy this rank's finished C block of entry `e` into the per-entry
-/// output (disjoint blocks; the lock only serializes the bookkeeping).
-fn extract_entry(plan: &EntryPlan, rank: usize, out: &Mutex<Matrix>) {
-    let blk = plan.dc.read_block(rank);
-    let Some(src) = blk.mat() else {
-        return;
-    };
-    let (r0, c0) = plan.dc.block_origin(rank);
-    let mut out = out.lock().expect("output lock");
-    out.block_mut(r0, c0, src.rows(), src.cols()).copy_from(src);
+    let (rank_outs, wall_s, extra) = run(&plans);
+    drop(plans); // releases every output before it is handed back
+    (assemble_batch(batch, outputs, rank_outs, wall_s), extra)
 }
 
 /// One rank's results for the whole stream.
+#[derive(Default)]
 pub struct BatchRankOut {
     /// Per-entry SRUMMA reports (tasks, fetched/direct blocks).
     pub reports: Vec<SrummaReport>,
@@ -305,145 +255,115 @@ pub struct BatchRankOut {
     pub ws_grow_count: u64,
 }
 
-/// The batch program on a blocking backend (threads, simulator): same
-/// staging/compute order as the executor path, with every fence arrival
-/// a full barrier (so the waits are trivially satisfied and elided).
+impl BatchRankOut {
+    fn new(n: usize) -> Self {
+        BatchRankOut {
+            reports: Vec::with_capacity(n),
+            samples: vec![EntryRankSample::default(); n],
+            ws_grow_count: 0,
+        }
+    }
+
+    /// Start entry `e` on this rank: copy `c0`'s block into its own C
+    /// block, then build the machine, whose β pre-pass scales it. A
+    /// fresh output is zero, so an entry without `c0` needs no copy.
+    fn begin_entry<'p, C: Comm>(
+        &mut self,
+        comm: &mut C,
+        batch: &BatchSpec,
+        plan: &'p EntryPlan,
+        e: usize,
+        tuner: Option<&TunerCell>,
+        scratch: MachineScratch,
+    ) -> SrummaMachine<'p> {
+        let rank = comm.rank();
+        let t0 = comm.now();
+        if let Some(c0) = &batch.entries[e].c0 {
+            let (r0, col0) = plan.dc.block_origin(rank);
+            let mut w = plan.dc.write_block(rank);
+            if let Some(mut dst) = w.mat_mut() {
+                dst.copy_from(c0.block(r0, col0, dst.rows(), dst.cols()));
+            }
+        }
+        let t1 = comm.now();
+        // The machine copies the options at construction, so the tuned
+        // prefetch depth is applied through a stack-local copy.
+        let mut eopts = plan.opts;
+        if let Some(t) = tuner {
+            if eopts.double_buffer {
+                eopts.prefetch_depth = t.setting_for(e);
+            }
+        }
+        let machine = SrummaMachine::new_reusing(
+            comm, &plan.spec, &plan.da, &plan.db, &plan.dc, &eopts, scratch,
+        );
+        let s = &mut self.samples[e];
+        s.t_start = t0;
+        s.stage_s = t1 - t0;
+        s.compute_s = comm.now() - t1;
+        machine
+    }
+
+    /// Finish entry `e`: release the machine (and its C write guard)
+    /// and record the report and timings.
+    fn end_entry<C: Comm>(
+        &mut self,
+        comm: &mut C,
+        machine: SrummaMachine<'_>,
+        e: usize,
+        tuner: Option<&TunerCell>,
+    ) -> MachineScratch {
+        let t0 = comm.now();
+        let (report, scratch) = machine.into_scratch();
+        let s = &mut self.samples[e];
+        s.tasks_run = report.tasks as u64;
+        s.tasks_masked = report.masked_tasks as u64;
+        s.flops_skipped = report.skipped_flops;
+        s.t_end = comm.now();
+        s.compute_s += s.t_end - t0;
+        if let Some(t) = tuner {
+            t.record(e, s.compute_s);
+        }
+        self.reports.push(report);
+        scratch
+    }
+}
+
+/// The batch program on a blocking backend (threads, simulator): the
+/// same per-entry loop as [`BatchRankTask`], run straight through.
 fn run_rank_blocking<C: Comm>(
     comm: &mut C,
     batch: &BatchSpec,
     plans: &[EntryPlan],
-    outputs: &[Mutex<Matrix>],
-    window: usize,
     tuner: Option<&TunerCell>,
 ) -> BatchRankOut {
-    let n = plans.len();
-    let rank = comm.rank();
-    let mut samples = vec![EntryRankSample::default(); n];
-    let mut reports = Vec::with_capacity(n);
+    let mut out = BatchRankOut::new(plans.len());
     let mut scratch = MachineScratch::default();
-
-    let stage = |comm: &mut C, e: usize, samples: &mut [EntryRankSample]| {
+    for (e, plan) in plans.iter().enumerate() {
+        let mut machine = out.begin_entry(comm, batch, plan, e, tuner, scratch);
         let t0 = comm.now();
-        samples[e].t_start = t0;
-        stage_entry(&batch.entries[e], &plans[e], rank);
-        samples[e].stage_s += comm.now() - t0;
-    };
-    let fence = |comm: &mut C, s: &mut EntryRankSample| {
-        let t0 = comm.now();
-        comm.barrier();
-        s.fence_s += comm.now() - t0;
-    };
-
-    let compute = |comm: &mut C,
-                   e: usize,
-                   scratch: MachineScratch,
-                   samples: &mut [EntryRankSample]|
-     -> (SrummaReport, MachineScratch) {
-        let plan = &plans[e];
-        let t0 = comm.now();
-        // On blocking backends only the depth knob applies (the window
-        // is a barrier cadence here, not a look-ahead). `new_reusing`
-        // copies the options, so a stack-local tuned copy is safe.
-        let mut eopts = plan.opts;
-        if let Some(t) = tuner {
-            if eopts.double_buffer {
-                eopts.prefetch_depth = t.setting_for(e).0;
-            }
-        }
-        let mut machine = SrummaMachine::new_reusing(
-            comm, &plan.spec, &plan.da, &plan.db, &plan.dc, &eopts, scratch,
-        );
         while machine.step(comm) {}
-        let (report, scratch) = machine.into_scratch();
-        extract_entry(plan, rank, &outputs[e]);
-        samples[e].compute_s += comm.now() - t0;
-        samples[e].tasks_run = report.tasks as u64;
-        samples[e].tasks_masked = report.masked_tasks as u64;
-        samples[e].flops_skipped = report.skipped_flops;
-        (report, scratch)
-    };
-
-    if n > 0 && window >= 2 {
-        stage(comm, 0, &mut samples);
-        fence(comm, &mut samples[0]);
-        for e in 0..n {
-            if e + 1 < n {
-                // The slot of entry `e+1` was freed by the done barrier
-                // of entry `e+1−window ≤ e−1`, which this iteration's
-                // predecessor already passed.
-                stage(comm, e + 1, &mut samples);
-                fence(comm, &mut samples[e + 1]);
-            }
-            let (report, s) = compute(comm, e, scratch, &mut samples);
-            scratch = s;
-            reports.push(report);
-            if let Some(t) = tuner {
-                t.record(e, samples[e].compute_s);
-            }
-            fence(comm, &mut samples[e]);
-            samples[e].t_end = comm.now();
-        }
-    } else {
-        for e in 0..n {
-            stage(comm, e, &mut samples);
-            fence(comm, &mut samples[e]);
-            let (report, s) = compute(comm, e, scratch, &mut samples);
-            scratch = s;
-            reports.push(report);
-            if let Some(t) = tuner {
-                t.record(e, samples[e].compute_s);
-            }
-            fence(comm, &mut samples[e]);
-            samples[e].t_end = comm.now();
-        }
+        out.samples[e].compute_s += comm.now() - t0;
+        scratch = out.end_entry(comm, machine, e, tuner);
     }
-    BatchRankOut {
-        reports,
-        samples,
-        ws_grow_count: comm.ws_grow_count(),
-    }
-}
-
-/// Where a [`BatchRankTask`] resumes on its next poll.
-enum BatchState {
-    /// Stage entry 0 and arrive at its staged fence.
-    Start,
-    /// Pipelined iteration head for entry `e`: gate on the slot of
-    /// `e+1`, stage it, then wait for `e`'s staged fence.
-    Head { e: usize },
-    /// Parked until the slot of entry `e+1` is free (its previous
-    /// occupant's done fence).
-    WaitSlot { e: usize },
-    /// Serialized (window 1) stage of entry `e`, gated on `e−1` done.
-    SerialStage { e: usize },
-    /// Parked until all ranks have staged entry `e`.
-    WaitStaged { e: usize },
-    /// Driving entry `e`'s [`SrummaMachine`], a stride per poll.
-    Compute { e: usize },
+    out.ws_grow_count = comm.ws_grow_count();
+    out
 }
 
 /// The whole batch as **one** schedulable rank task on the
-/// work-stealing executor: per-entry epoch fences are park points, so a
-/// rank blocked on a straggler costs a deque entry, not an OS thread,
-/// and the worker slot immediately runs another rank's staging or
-/// compute for a different entry.
+/// work-stealing executor. It never waits on a peer, so it never
+/// parks: it yields every [`Self::STRIDE`] machine steps and between
+/// entries, letting the worker run other ranks' work.
 pub struct BatchRankTask<'a> {
     comm: ExecComm,
     batch: &'a BatchSpec,
     plans: &'a [EntryPlan],
-    outputs: &'a [Mutex<Matrix>],
-    window: usize,
     tuner: Option<&'a TunerCell>,
-    state: BatchState,
+    /// The entry to run next, or running now when `machine` is set.
+    e: usize,
     machine: Option<SrummaMachine<'a>>,
     scratch: MachineScratch,
-    /// Fence indices of this rank's staged/done arrivals, by entry.
-    sf: Vec<u64>,
-    df: Vec<u64>,
-    /// Wall time the current fence wait began (None when not waiting).
-    wait_t0: Option<f64>,
-    samples: Vec<EntryRankSample>,
-    reports: Vec<SrummaReport>,
+    out: BatchRankOut,
 }
 
 impl<'a> BatchRankTask<'a> {
@@ -455,76 +375,17 @@ impl<'a> BatchRankTask<'a> {
         comm: ExecComm,
         batch: &'a BatchSpec,
         plans: &'a [EntryPlan],
-        outputs: &'a [Mutex<Matrix>],
-        window: usize,
         tuner: Option<&'a TunerCell>,
     ) -> Self {
-        let n = plans.len();
         BatchRankTask {
             comm,
             batch,
             plans,
-            outputs,
-            window,
             tuner,
-            state: BatchState::Start,
+            e: 0,
             machine: None,
             scratch: MachineScratch::default(),
-            sf: Vec::with_capacity(n),
-            df: Vec::with_capacity(n),
-            wait_t0: None,
-            samples: vec![EntryRankSample::default(); n],
-            reports: Vec::with_capacity(n),
-        }
-    }
-
-    fn stage(&mut self, e: usize) {
-        let t0 = self.comm.now();
-        self.samples[e].t_start = t0;
-        stage_entry(&self.batch.entries[e], &self.plans[e], self.comm.rank());
-        self.samples[e].stage_s += self.comm.now() - t0;
-        self.sf.push(self.comm.fence_arrive());
-        debug_assert_eq!(self.sf.len(), e + 1);
-    }
-
-    /// Poll fence `f`; on failure remember when the wait began (the
-    /// task is now registered as a waiter and should park), on success
-    /// charge the elapsed wait to `samples[entry].fence_s`.
-    fn fence_poll(&mut self, f: u64, entry: usize) -> bool {
-        if self.comm.fence_try(f) {
-            if let Some(t0) = self.wait_t0.take() {
-                self.samples[entry].fence_s += self.comm.now() - t0;
-            }
-            true
-        } else {
-            if self.wait_t0.is_none() {
-                self.wait_t0 = Some(self.comm.now());
-            }
-            false
-        }
-    }
-
-    /// The look-ahead window gating the stage of entry `e`: the
-    /// tuner's pick for `e`, clamped to `[2, physical window]`. Only
-    /// ever *shrunk* below the slot-ring size — a smaller window waits
-    /// on a *later* done fence (fence indices are monotone per rank,
-    /// so the wait is strictly stronger and the slot certainly free),
-    /// while a larger one could reuse a slot still being read. The
-    /// floor of 2 exists because at the head of entry `e` this rank
-    /// has arrived at done fences `0..e` only — a window of 1 would
-    /// wait on its own not-yet-arrived fence and deadlock.
-    fn eff_window(&self, e: usize) -> usize {
-        match self.tuner {
-            Some(t) if self.window >= 2 => t.setting_for(e).1.clamp(2, self.window),
-            _ => self.window,
-        }
-    }
-
-    fn take_out(&mut self) -> BatchRankOut {
-        BatchRankOut {
-            reports: std::mem::take(&mut self.reports),
-            samples: std::mem::take(&mut self.samples),
-            ws_grow_count: self.comm.ws_grow_count(),
+            out: BatchRankOut::new(plans.len()),
         }
     }
 }
@@ -533,128 +394,35 @@ impl RankTask for BatchRankTask<'_> {
     type Out = BatchRankOut;
 
     fn step(&mut self) -> Step<BatchRankOut> {
-        loop {
-            match self.state {
-                BatchState::Start => {
-                    if self.plans.is_empty() {
-                        return Step::Done(self.take_out());
-                    }
-                    if self.window >= 2 {
-                        self.stage(0);
-                        self.state = BatchState::Head { e: 0 };
-                    } else {
-                        self.state = BatchState::SerialStage { e: 0 };
-                    }
-                    return Step::Yield;
-                }
-                BatchState::Head { e } => {
-                    if e + 1 < self.plans.len() {
-                        let w = self.eff_window(e + 1);
-                        if e + 1 >= w {
-                            let f = self.df[e + 1 - w];
-                            if !self.fence_poll(f, e + 1) {
-                                self.state = BatchState::WaitSlot { e };
-                                return Step::Park;
-                            }
-                        }
-                        self.stage(e + 1);
-                    }
-                    self.state = BatchState::WaitStaged { e };
-                }
-                BatchState::WaitSlot { e } => {
-                    // eff_window is memoized per entry, so the retry
-                    // polls the same fence the Head attempt did.
-                    let w = self.eff_window(e + 1);
-                    let f = self.df[e + 1 - w];
-                    if !self.fence_poll(f, e + 1) {
-                        return Step::Park;
-                    }
-                    self.stage(e + 1);
-                    self.state = BatchState::WaitStaged { e };
-                }
-                BatchState::SerialStage { e } => {
-                    if e > 0 {
-                        let f = self.df[e - 1];
-                        if !self.fence_poll(f, e) {
-                            return Step::Park;
-                        }
-                    }
-                    self.stage(e);
-                    self.state = BatchState::WaitStaged { e };
-                }
-                BatchState::WaitStaged { e } => {
-                    if !self.fence_poll(self.sf[e], e) {
-                        return Step::Park;
-                    }
-                    self.state = BatchState::Compute { e };
-                    return Step::Yield;
-                }
-                BatchState::Compute { e } => {
-                    let t0 = self.comm.now();
-                    if self.machine.is_none() {
-                        let plan: &'_ EntryPlan = &self.plans[e];
-                        let scratch = std::mem::take(&mut self.scratch);
-                        // The machine copies the options at
-                        // construction, so the tuned prefetch depth is
-                        // applied through a stack-local copy.
-                        let mut eopts = plan.opts;
-                        if let Some(t) = self.tuner {
-                            if eopts.double_buffer {
-                                eopts.prefetch_depth = t.setting_for(e).0;
-                            }
-                        }
-                        self.machine = Some(SrummaMachine::new_reusing(
-                            &mut self.comm,
-                            &plan.spec,
-                            &plan.da,
-                            &plan.db,
-                            &plan.dc,
-                            &eopts,
-                            scratch,
-                        ));
-                    }
-                    let machine = self.machine.as_mut().expect("machine built above");
-                    let mut more = machine.has_work();
-                    for _ in 0..Self::STRIDE {
-                        if !more {
-                            break;
-                        }
-                        more = machine.step(&mut self.comm);
-                    }
-                    if more {
-                        self.samples[e].compute_s += self.comm.now() - t0;
-                        return Step::Yield;
-                    }
-                    // Release the C write guard (into_scratch) before
-                    // arriving at the done fence — peers passing it may
-                    // restage this slot.
-                    let (report, scratch) =
-                        self.machine.take().expect("machine exists").into_scratch();
-                    self.scratch = scratch;
-                    self.samples[e].tasks_run = report.tasks as u64;
-                    self.samples[e].tasks_masked = report.masked_tasks as u64;
-                    self.samples[e].flops_skipped = report.skipped_flops;
-                    self.reports.push(report);
-                    extract_entry(&self.plans[e], self.comm.rank(), &self.outputs[e]);
-                    self.samples[e].compute_s += self.comm.now() - t0;
-                    self.samples[e].t_end = self.comm.now();
-                    if let Some(t) = self.tuner {
-                        t.record(e, self.samples[e].compute_s);
-                    }
-                    self.df.push(self.comm.fence_arrive());
-                    debug_assert_eq!(self.df.len(), e + 1);
-                    if e + 1 < self.plans.len() {
-                        self.state = if self.window >= 2 {
-                            BatchState::Head { e: e + 1 }
-                        } else {
-                            BatchState::SerialStage { e: e + 1 }
-                        };
-                        return Step::Yield;
-                    }
-                    return Step::Done(self.take_out());
-                }
-            }
+        let e = self.e;
+        if e == self.plans.len() {
+            self.out.ws_grow_count = self.comm.ws_grow_count();
+            return Step::Done(std::mem::take(&mut self.out));
         }
+        let (plans, tuner) = (self.plans, self.tuner);
+        if self.machine.is_none() {
+            let scratch = std::mem::take(&mut self.scratch);
+            let m = self
+                .out
+                .begin_entry(&mut self.comm, self.batch, &plans[e], e, tuner, scratch);
+            self.machine = Some(m);
+        }
+        let machine = self.machine.as_mut().expect("machine built above");
+        let t0 = self.comm.now();
+        let mut more = machine.has_work();
+        for _ in 0..Self::STRIDE {
+            if !more {
+                break;
+            }
+            more = machine.step(&mut self.comm);
+        }
+        self.out.samples[e].compute_s += self.comm.now() - t0;
+        if !more {
+            let machine = self.machine.take().expect("machine exists");
+            self.scratch = self.out.end_entry(&mut self.comm, machine, e, tuner);
+            self.e += 1;
+        }
+        Step::Yield
     }
 
     fn take_trace(&mut self) -> (Vec<srumma_trace::TraceEvent>, srumma_trace::Counters) {
@@ -680,7 +448,7 @@ fn entry_label(spec: &GemmSpec) -> String {
 
 fn assemble_batch(
     batch: &BatchSpec,
-    outputs: Vec<Mutex<Matrix>>,
+    outputs: Vec<Matrix>,
     rank_outs: Vec<BatchRankOut>,
     wall_s: f64,
 ) -> BatchResult {
@@ -705,33 +473,20 @@ fn assemble_batch(
         });
     }
     BatchResult {
-        outputs: outputs
-            .into_iter()
-            .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
-            .collect(),
+        outputs,
         reports,
         ws_grow_counts: rank_outs.iter().map(|ro| ro.ws_grow_count).collect(),
         stats: BatchStats::from_entries(entries, wall_s),
     }
 }
 
-fn effective_window(batch: &BatchSpec) -> usize {
-    batch.window.clamp(1, batch.entries.len().max(1))
-}
-
 /// The shared tuner state for one run, when the batch's default
 /// options enable it (`SrummaOptions::with_tuner`). The climb starts
-/// from the options' own depth and the physical slot-ring window.
+/// from the options' own depth.
 fn make_tuner_cell(batch: &BatchSpec, nranks: usize) -> Option<TunerCell> {
     batch.opts.tuner.map(|cfg| {
         let flops: Vec<f64> = batch.entries.iter().map(|e| e.spec.flops()).collect();
-        TunerCell::new(
-            cfg,
-            nranks,
-            flops,
-            batch.opts.effective_depth().max(1),
-            effective_window(batch),
-        )
+        TunerCell::new(cfg, nranks, flops, batch.opts.effective_depth().max(1))
     })
 }
 
@@ -744,26 +499,21 @@ fn empty_result() -> BatchResult {
     }
 }
 
-/// Run the batch on real host threads (one thread per rank, blocking
-/// barriers at the fence points). The correctness baseline for the
-/// executor path — same staging, same slot ring, same arena.
+/// Run the batch on real host threads (one thread per rank). The
+/// correctness baseline for the executor path — the same in-place
+/// distributions and the same per-entry loop.
 pub fn multiply_batch(batch: &BatchSpec, nranks: usize) -> BatchResult {
     if batch.entries.is_empty() {
         return empty_result();
     }
-    let grid = default_grid(nranks);
-    let window = effective_window(batch);
-    let (_arena, plans) = build_storage(batch, grid, window);
-    let outputs: Vec<Mutex<Matrix>> = batch
-        .entries
-        .iter()
-        .map(|e| Mutex::new(Matrix::zeros(e.spec.m, e.spec.n)))
-        .collect();
     let tuner = make_tuner_cell(batch, nranks);
-    let res = thread_run(nranks, |comm| {
-        run_rank_blocking(comm, batch, &plans, &outputs, window, tuner.as_ref())
-    });
-    assemble_batch(batch, outputs, res.outputs, res.wall_seconds)
+    run_in_place(batch, nranks, |plans| {
+        let res = thread_run(nranks, |comm| {
+            run_rank_blocking(comm, batch, plans, tuner.as_ref())
+        });
+        (res.outputs, res.wall_seconds, ())
+    })
+    .0
 }
 
 /// Run the batch under the virtual-time simulator (real data, modeled
@@ -772,26 +522,21 @@ pub fn multiply_batch_sim(batch: &BatchSpec, machine: &Machine, nranks: usize) -
     if batch.entries.is_empty() {
         return empty_result();
     }
-    let grid = default_grid(nranks);
-    let window = effective_window(batch);
-    let (_arena, plans) = build_storage(batch, grid, window);
-    let outputs: Vec<Mutex<Matrix>> = batch
-        .entries
-        .iter()
-        .map(|e| Mutex::new(Matrix::zeros(e.spec.m, e.spec.n)))
-        .collect();
     let opts = SimOptions::new(machine.clone(), nranks);
     let tuner = make_tuner_cell(batch, nranks);
-    let res = sim_run(&opts, |comm| {
-        run_rank_blocking(comm, batch, &plans, &outputs, window, tuner.as_ref())
-    });
-    assemble_batch(batch, outputs, res.outputs, res.stats.makespan)
+    run_in_place(batch, nranks, |plans| {
+        let res = sim_run(&opts, |comm| {
+            run_rank_blocking(comm, batch, plans, tuner.as_ref())
+        });
+        (res.outputs, res.stats.makespan, ())
+    })
+    .0
 }
 
 /// Run the batch on the work-stealing executor: `nranks` logical ranks
-/// on `workers` worker threads, **one** pool and **one** arena for the
-/// whole stream, per-entry epoch fences instead of open/close barrier
-/// pairs. This is the tentpole path — independent entries overlap.
+/// on `workers` worker threads, **one** pool for the whole stream, and
+/// no barrier or fence between entries — a rank moves on to its next
+/// entry as soon as it has finished its part of the current one.
 pub fn multiply_batch_exec(batch: &BatchSpec, nranks: usize, workers: usize) -> BatchResult {
     let tuner = make_tuner_cell(batch, nranks);
     multiply_batch_exec_inner(batch, nranks, workers, false, tuner.as_ref()).0
@@ -800,8 +545,8 @@ pub fn multiply_batch_exec(batch: &BatchSpec, nranks: usize, workers: usize) -> 
 /// [`multiply_batch_exec`], additionally returning the online tuner's
 /// per-entry trajectory (empty when the batch options leave the tuner
 /// off). The numeric outputs are bitwise identical to
-/// [`multiply_batch_exec`] with the tuner off — the tuned knobs change
-/// fetch scheduling only.
+/// [`multiply_batch_exec`] with the tuner off — the tuned prefetch
+/// depth changes fetch scheduling only.
 pub fn multiply_batch_exec_tuned(
     batch: &BatchSpec,
     nranks: usize,
@@ -835,35 +580,20 @@ fn multiply_batch_exec_inner(
     if batch.entries.is_empty() {
         return (empty_result(), None);
     }
-    let grid = default_grid(nranks);
-    let window = effective_window(batch);
-    let (_arena, plans) = build_storage(batch, grid, window);
-    let outputs: Vec<Mutex<Matrix>> = batch
-        .entries
-        .iter()
-        .map(|e| Mutex::new(Matrix::zeros(e.spec.m, e.spec.n)))
-        .collect();
-    let res = exec_run_tasks(nranks, workers, trace, |comm| {
-        Box::new(BatchRankTask::new(
-            comm, batch, &plans, &outputs, window, tuner,
-        ))
-    });
-    let traced = if trace {
-        Some(TracedRun {
+    run_in_place(batch, nranks, |plans| {
+        let res = exec_run_tasks(nranks, workers, trace, |comm| {
+            Box::new(BatchRankTask::new(comm, batch, plans, tuner))
+        });
+        let traced = trace.then_some(TracedRun {
             stats: res.stats,
             trace: res.trace,
-        })
-    } else {
-        None
-    };
-    (
-        assemble_batch(batch, outputs, res.outputs, res.wall_seconds),
-        traced,
-    )
+        });
+        (res.outputs, res.wall_seconds, traced)
+    })
 }
 
 /// Serial reference for every entry: `C_e = α·A_e·B_e + β·C0_e` (zeros
-/// when `c0` is absent) — operands logical, exactly as the batch stages
+/// when `c0` is absent) — operands logical, exactly as the batch reads
 /// them. Entries with block-sparsity masks multiply the **masked
 /// copies** (masked blocks zeroed), enforcing the semantics that data
 /// inside a masked block is ignored.
@@ -893,4 +623,29 @@ pub fn batch_serial_reference(batch: &BatchSpec) -> Vec<Matrix> {
             c
         })
         .collect()
+}
+
+#[cfg(all(test, debug_assertions))]
+mod tests {
+    use super::*;
+
+    /// The debug access checker guards the blocks a batch adopts: a
+    /// write under a live read of an entry's output block is caught.
+    #[test]
+    #[should_panic(expected = "discipline violation")]
+    fn checker_catches_a_write_under_read_on_an_adopted_batch_block() {
+        let mut batch = BatchSpec::new();
+        let spec = GemmSpec::new(Op::T, Op::N, 6, 5, 4);
+        batch.push(BatchEntry::new(
+            spec,
+            Matrix::random(6, 4, 1),
+            Matrix::random(4, 5, 2),
+        ));
+        run_in_place(&batch, 2, |plans| {
+            let dc = &plans[0].dc;
+            let _read = dc.read_block(1);
+            dc.scale_block(1, 0.0);
+            (Vec::new(), 0.0, ())
+        });
+    }
 }

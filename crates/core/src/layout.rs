@@ -105,61 +105,6 @@ pub fn dist_c(spec: &GemmSpec, grid: ProcGrid, real: bool) -> DistMatrix {
     }
 }
 
-/// [`dist_a`] backed by regions of an existing shared arena (rank `r` →
-/// region `base + stride·r`) instead of a private allocation — the
-/// batched driver's one-arena-for-the-whole-stream path.
-pub fn dist_a_in_arena(
-    spec: &GemmSpec,
-    grid: ProcGrid,
-    arena: std::sync::Arc<srumma_comm::SharedArena>,
-    base: usize,
-    stride: usize,
-) -> DistMatrix {
-    let (r, c) = a_stored_dims(spec);
-    let g = a_grid(spec, grid);
-    let order = match spec.transa {
-        Op::N => RankOrder::RowMajor,
-        Op::T => RankOrder::ColMajor,
-    };
-    DistMatrix::create_in_arena(g, r, c, order, arena, base, stride)
-}
-
-/// [`dist_b`] backed by regions of an existing shared arena.
-pub fn dist_b_in_arena(
-    spec: &GemmSpec,
-    grid: ProcGrid,
-    arena: std::sync::Arc<srumma_comm::SharedArena>,
-    base: usize,
-    stride: usize,
-) -> DistMatrix {
-    let (r, c) = b_stored_dims(spec);
-    let g = b_grid(spec, grid);
-    let order = match spec.transb {
-        Op::N => RankOrder::RowMajor,
-        Op::T => RankOrder::ColMajor,
-    };
-    DistMatrix::create_in_arena(g, r, c, order, arena, base, stride)
-}
-
-/// [`dist_c`] backed by regions of an existing shared arena.
-pub fn dist_c_in_arena(
-    spec: &GemmSpec,
-    grid: ProcGrid,
-    arena: std::sync::Arc<srumma_comm::SharedArena>,
-    base: usize,
-    stride: usize,
-) -> DistMatrix {
-    DistMatrix::create_in_arena(
-        grid,
-        spec.m,
-        spec.n,
-        RankOrder::RowMajor,
-        arena,
-        base,
-        stride,
-    )
-}
-
 /// Attach a **logical** block-sparsity mask to stored A. The logical
 /// mask is shaped like `op(A)`'s blocking: `p` C-row blocks × `q`
 /// k-panels (the C grid). For transposed storage the stored grid is

@@ -114,13 +114,13 @@ pub enum ReplicationFactor {
 /// options struct stays `Copy + Eq`; the tuner itself (its state
 /// machine, accumulated observations) lives outside the options.
 ///
-/// The tuner only ever changes *scheduling* knobs — prefetch depth and
-/// the batch look-ahead window — which affect when blocks are fetched,
-/// never which gemm calls run or in what per-rank order. Tuned runs are
-/// therefore bitwise identical to untuned runs on the same inputs.
+/// The tuner only ever changes a *scheduling* knob — the prefetch depth
+/// — which affects when blocks are fetched, never which gemm calls run
+/// or in what per-rank order. Tuned runs are therefore bitwise
+/// identical to untuned runs on the same inputs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TunerConfig {
-    /// Seed for the tuner's initial move directions (deterministic:
+    /// Seed for the tuner's initial move direction (deterministic:
     /// the same seed and observation sequence reproduce the same
     /// decisions).
     pub seed: u64,
@@ -128,12 +128,6 @@ pub struct TunerConfig {
     pub min_depth: usize,
     /// Largest prefetch depth the tuner may select.
     pub max_depth: usize,
-    /// Smallest batch look-ahead window (≥ 2 — a window of 1 would
-    /// make an entry wait on its *own* done fence before starting).
-    pub min_window: usize,
-    /// Largest batch look-ahead window. Clamped at run time to the
-    /// batch's physical slot-ring window, which bounds memory.
-    pub max_window: usize,
     /// Observations accumulated per candidate setting before judging
     /// it (hysteresis against run-to-run noise).
     pub settle: usize,
@@ -150,8 +144,6 @@ impl Default for TunerConfig {
             seed: 0x5254_4d4d, // "RTMM"
             min_depth: 1,
             max_depth: 4,
-            min_window: 2,
-            max_window: 4,
             settle: 2,
             margin_permille: 20,
             max_moves: 8,
@@ -188,7 +180,7 @@ pub struct SrummaOptions {
     /// via `Comm::configure_gemm` at machine setup.
     pub gemm: Option<GemmConfig>,
     /// Online tuner for batch streams: `Some` lets the runtime adjust
-    /// prefetch depth and batch window *between entries* based on
+    /// the prefetch depth *between entries* based on
     /// measured per-entry times (see [`crate::tune::Tuner`]). Off by
     /// default; never changes numerics.
     pub tuner: Option<TunerConfig>,

@@ -2,8 +2,8 @@
 //! probe-based autotuned entry point.
 //!
 //! SRUMMA's throughput hinges on configuration the paper fixed per
-//! machine — kernel, cache blocks, prefetch depth, worker count, batch
-//! window. The repo measures all of it (`calibrate` probes, per-entry
+//! machine — kernel, cache blocks, prefetch depth, worker count. The
+//! repo measures all of it (`calibrate` probes, per-entry
 //! `RunStats`/`BatchStats`) but until this module each `Auto` knob was
 //! resolved by a static guess scattered across options/memory/repl.
 //! This module closes the measurement→configuration loop in three
@@ -17,15 +17,14 @@
 //!    explicitly. [`SrummaOptions::from_profile`] is the one-call path:
 //!    load the host profile if present and valid, fall back to the
 //!    static defaults (with a single warning) otherwise.
-//! 2. **[`Tuner`]** — an online hill-climb over (prefetch depth, batch
-//!    window) for long batch streams, fed per-entry timing samples and
-//!    adjusting the knobs *between* entries. Bounded by
-//!    [`TunerConfig`], deterministic given the same observation
-//!    sequence and seed, off by default
-//!    ([`SrummaOptions::with_tuner`] turns it on). Both knobs only
-//!    change *when blocks are fetched*, never which gemm calls run or
-//!    in what per-rank order, so a tuned run is bitwise identical to an
-//!    untuned run on the same inputs.
+//! 2. **[`Tuner`]** — an online hill-climb over the prefetch depth for
+//!    long batch streams, fed per-entry timing samples and adjusting
+//!    the depth *between* entries. Bounded by [`TunerConfig`],
+//!    deterministic given the same observation sequence and seed, off
+//!    by default ([`SrummaOptions::with_tuner`] turns it on). The depth
+//!    only changes *when blocks are fetched*, never which gemm calls
+//!    run or in what per-rank order, so a tuned run is bitwise
+//!    identical to an untuned run on the same inputs.
 //! 3. **[`multiply_autotuned`]** — when no profile exists, runs 2–3
 //!    tiny probe multiplies to pick worker count and prefetch depth,
 //!    then caches the decision for the rest of the process.
@@ -118,14 +117,14 @@ impl std::error::Error for ProfileError {}
 ///   "strassen_cutoff": null,
 ///   "workers": 8,
 ///   "prefetch_depth": 2,
-///   "batch_window": 3,
 ///   "ranks_per_node": 4,
 ///   "replication_budget_bytes": 50000000
 /// }
 /// ```
 ///
 /// `strassen_cutoff` is three-valued: absent = not probed, `null` =
-/// probed and best left off, a number = probed best cutoff.
+/// probed and best left off, a number = probed best cutoff. Unknown
+/// keys (such as an older profile's `batch_window`) are ignored.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HostProfile {
     /// Best micro-kernel (`calibrate -- --kernels`).
@@ -141,8 +140,6 @@ pub struct HostProfile {
     pub workers: Option<usize>,
     /// Best prefetch depth (`0` = double buffering off).
     pub prefetch_depth: Option<usize>,
-    /// Best batch slot-ring window (`calibrate -- --batch`).
-    pub batch_window: Option<usize>,
     /// Emulated ranks-per-node sweet spot (`calibrate -- --topology`).
     pub ranks_per_node: Option<usize>,
     /// Per-rank arena budget for `ReplicationFactor::Auto`, in bytes.
@@ -184,9 +181,6 @@ impl HostProfile {
         if other.prefetch_depth.is_some() {
             self.prefetch_depth = other.prefetch_depth;
         }
-        if other.batch_window.is_some() {
-            self.batch_window = other.batch_window;
-        }
         if other.ranks_per_node.is_some() {
             self.ranks_per_node = other.ranks_per_node;
         }
@@ -222,9 +216,6 @@ impl HostProfile {
         }
         if let Some(d) = self.prefetch_depth {
             o.int("prefetch_depth", d as u64);
-        }
-        if let Some(w) = self.batch_window {
-            o.int("batch_window", w as u64);
         }
         if let Some(r) = self.ranks_per_node {
             o.int("ranks_per_node", r as u64);
@@ -356,7 +347,6 @@ impl HostProfile {
         };
         p.workers = count("workers", 1.0)?;
         p.prefetch_depth = count("prefetch_depth", 0.0)?;
-        p.batch_window = count("batch_window", 1.0)?;
         p.ranks_per_node = count("ranks_per_node", 1.0)?;
         p.replication_budget_bytes = count("replication_budget_bytes", 0.0)?.map(|b| b as u64);
         Ok(p)
@@ -437,11 +427,6 @@ impl HostProfile {
         self.workers.unwrap_or(fallback)
     }
 
-    /// Probed batch slot-ring window, or `fallback` when not probed.
-    pub fn window(&self, fallback: usize) -> usize {
-        self.batch_window.unwrap_or(fallback)
-    }
-
     /// Replication policy from the probed arena budget: `Auto` under
     /// the probed per-rank byte budget, or `One` when topology was
     /// never probed.
@@ -506,29 +491,26 @@ pub struct TunerStep {
     pub entry: usize,
     /// Prefetch depth in effect for that entry.
     pub depth: usize,
-    /// Batch look-ahead window in effect for that entry.
-    pub window: usize,
     /// Mean per-rank compute seconds per flop observed for that entry
     /// (`NaN` until all ranks reported).
     pub score: f64,
 }
 
-/// Coordinate-descent hill-climb with hysteresis over (prefetch depth,
-/// batch window).
+/// Hill-climb with hysteresis over the prefetch depth.
 ///
 /// The state machine (documented in DESIGN.md §15):
 ///
 /// 1. **Baseline** — accumulate [`TunerConfig::settle`] observations of
-///    the starting setting; their mean becomes the score to beat.
-/// 2. **Trial** — move one knob one step in the current direction and
+///    the starting depth; their mean becomes the score to beat.
+/// 2. **Trial** — move the depth one step in the current direction and
 ///    accumulate `settle` observations. An improvement of more than
 ///    [`TunerConfig::margin_permille`] accepts the move (the direction
-///    is kept for the next trial); anything less reverts the knob and
-///    turns — first reversing direction, then switching to the other
-///    knob.
-/// 3. **Frozen** — after [`TunerConfig::max_moves`] trials (or when no
-///    in-bounds move remains) the tuner pins the best setting found and
-///    ignores further observations.
+///    is kept for the next trial); anything less reverts it and
+///    reverses the direction.
+/// 3. **Frozen** — after [`TunerConfig::max_moves`] trials, when both
+///    directions have failed from the same depth, or when no in-bounds
+///    move remains, the tuner pins the best depth found and ignores
+///    further observations.
 ///
 /// Scores are *lower is better* (the batch layer feeds seconds per
 /// flop). Decisions are a pure function of the observation sequence
@@ -537,47 +519,31 @@ pub struct TunerStep {
 #[derive(Clone, Debug)]
 pub struct Tuner {
     cfg: TunerConfig,
-    cur: (usize, usize),
-    prev: (usize, usize),
+    cur: usize,
+    prev: usize,
     best: f64,
     acc_sum: f64,
     acc_n: usize,
     in_trial: bool,
-    /// 0 = depth, 1 = window.
-    knob: usize,
     dir: isize,
-    /// Direction already reversed once on this knob since the last
-    /// accept or knob switch.
+    /// Direction already reversed once since the last accept.
     turned: bool,
     moves: usize,
     frozen: bool,
 }
 
-fn step_clamped(v: usize, dir: isize, lo: usize, hi: usize) -> usize {
-    let stepped = v as isize + dir;
-    stepped.clamp(lo as isize, hi.max(lo) as isize) as usize
-}
-
 impl Tuner {
-    /// A tuner starting from `(depth0, window0)` (clamped into the
-    /// config's bounds). The first knob and direction come from the
-    /// config seed.
-    pub fn new(cfg: TunerConfig, depth0: usize, window0: usize) -> Self {
-        // Two xorshift draws pick the starting knob and direction —
-        // the only randomness the tuner ever uses.
+    /// A tuner starting from `depth0` (clamped into the config's
+    /// bounds). The first direction comes from the config seed.
+    pub fn new(cfg: TunerConfig, depth0: usize) -> Self {
+        // One xorshift draw picks the starting direction — the only
+        // randomness the tuner ever uses.
         let mut s = cfg.seed | 1;
-        let mut draw = || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
-        let knob = (draw() & 1) as usize;
-        let dir = if draw() & 1 == 0 { 1 } else { -1 };
-        let cur = (
-            depth0.clamp(cfg.min_depth, cfg.max_depth.max(cfg.min_depth)),
-            window0.clamp(cfg.min_window, cfg.max_window.max(cfg.min_window)),
-        );
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        let dir = if s & 1 == 0 { 1 } else { -1 };
+        let cur = depth0.clamp(cfg.min_depth, cfg.max_depth.max(cfg.min_depth));
         Tuner {
             cfg,
             cur,
@@ -586,7 +552,6 @@ impl Tuner {
             acc_sum: 0.0,
             acc_n: 0,
             in_trial: false,
-            knob,
             dir,
             turned: false,
             moves: 0,
@@ -594,8 +559,8 @@ impl Tuner {
         }
     }
 
-    /// The setting to apply next: `(prefetch_depth, batch_window)`.
-    pub fn setting(&self) -> (usize, usize) {
+    /// The prefetch depth to apply next.
+    pub fn setting(&self) -> usize {
         self.cur
     }
 
@@ -642,37 +607,30 @@ impl Tuner {
         }
         if self.moves >= self.cfg.max_moves {
             self.frozen = true;
-            return;
         }
-        self.propose();
+        if !self.frozen {
+            self.propose();
+        }
     }
 
+    /// Reverse the direction; a second reversal without an accept in
+    /// between means both neighbours lost, so the tuner freezes.
     fn turn(&mut self) {
         if self.turned {
-            self.knob ^= 1;
-            self.turned = false;
+            self.frozen = true;
         } else {
             self.dir = -self.dir;
             self.turned = true;
         }
     }
 
-    /// Move one knob one step for the next trial; freezes if every
-    /// (knob, direction) combination is pinned against a bound.
+    /// Move the depth one step for the next trial; freezes when no
+    /// in-bounds step remains in either direction.
     fn propose(&mut self) {
-        for _ in 0..4 {
-            let (d, w) = self.cur;
-            let cand = if self.knob == 0 {
-                (
-                    step_clamped(d, self.dir, self.cfg.min_depth, self.cfg.max_depth),
-                    w,
-                )
-            } else {
-                (
-                    d,
-                    step_clamped(w, self.dir, self.cfg.min_window, self.cfg.max_window),
-                )
-            };
+        while !self.frozen {
+            let hi = self.cfg.max_depth.max(self.cfg.min_depth);
+            let cand = (self.cur as isize + self.dir)
+                .clamp(self.cfg.min_depth as isize, hi as isize) as usize;
             if cand != self.cur {
                 self.prev = self.cur;
                 self.cur = cand;
@@ -680,20 +638,19 @@ impl Tuner {
             }
             self.turn();
         }
-        self.frozen = true;
     }
 }
 
-/// Shared tuner state for one batch run: memoizes the setting each
-/// entry ran with (so every rank agrees even though they query at
-/// different wall-clock moments) and aggregates per-rank samples into
-/// one observation per entry, fed to the [`Tuner`] in entry order.
+/// Shared tuner state for one batch run: memoizes the depth each entry
+/// runs with (so every rank agrees even though they query at different
+/// wall-clock moments) and aggregates per-rank samples into one
+/// observation per entry, fed to the [`Tuner`] in entry order.
 ///
 /// Wall-clock scheduling makes the *trajectory* timing-dependent — a
 /// fast rank may lock in entry `e+2`'s setting before entry `e`'s last
 /// sample lands — but the decision function itself is deterministic,
-/// and neither knob affects numerics, so outputs are bitwise identical
-/// to an untuned run regardless.
+/// and the depth does not affect numerics, so outputs are bitwise
+/// identical to an untuned run regardless.
 pub struct TunerCell {
     nranks: usize,
     inner: Mutex<CellInner>,
@@ -704,8 +661,8 @@ struct CellInner {
     /// Useful flops of each entry, normalizing scores across
     /// differently sized entries.
     flops: Vec<f64>,
-    /// The (depth, window) each entry ran with, fixed at first query.
-    settings: Vec<Option<(usize, usize)>>,
+    /// The depth each entry ran with, fixed at first query.
+    settings: Vec<Option<usize>>,
     /// Per-entry (sum of per-rank compute seconds, ranks reported).
     pending: Vec<(f64, u32)>,
     /// Observed seconds-per-flop per entry (NaN until complete).
@@ -716,19 +673,13 @@ struct CellInner {
 
 impl TunerCell {
     /// A cell for a batch of entries with the given flop counts,
-    /// starting the climb from `(depth0, window0)`.
-    pub fn new(
-        cfg: TunerConfig,
-        nranks: usize,
-        flops: Vec<f64>,
-        depth0: usize,
-        window0: usize,
-    ) -> Self {
+    /// starting the climb from `depth0`.
+    pub fn new(cfg: TunerConfig, nranks: usize, flops: Vec<f64>, depth0: usize) -> Self {
         let n = flops.len();
         TunerCell {
             nranks: nranks.max(1),
             inner: Mutex::new(CellInner {
-                tuner: Tuner::new(cfg, depth0, window0),
+                tuner: Tuner::new(cfg, depth0),
                 flops,
                 settings: vec![None; n],
                 pending: vec![(0.0, 0); n],
@@ -738,10 +689,9 @@ impl TunerCell {
         }
     }
 
-    /// The (prefetch depth, batch window) entry `e` runs with. The
-    /// first query fixes it; later queries (other ranks) read the same
-    /// value.
-    pub fn setting_for(&self, e: usize) -> (usize, usize) {
+    /// The prefetch depth entry `e` runs with. The first query fixes
+    /// it; later queries (other ranks) read the same value.
+    pub fn setting_for(&self, e: usize) -> usize {
         let mut g = self.inner.lock().expect("tuner lock");
         if let Some(s) = g.settings[e] {
             return s;
@@ -775,10 +725,9 @@ impl TunerCell {
             .iter()
             .enumerate()
             .filter_map(|(e, s)| {
-                s.map(|(depth, window)| TunerStep {
+                s.map(|depth| TunerStep {
                     entry: e,
                     depth,
-                    window,
                     score: g.scores[e],
                 })
             })
@@ -915,7 +864,7 @@ mod tests {
     fn tuner_is_deterministic() {
         let scores = [5.0, 5.0, 4.0, 4.0, 4.5, 4.5, 3.9, 3.9, 3.8, 3.8, 5.0, 5.0];
         let run = |cfg: TunerConfig| {
-            let mut t = Tuner::new(cfg, 1, 3);
+            let mut t = Tuner::new(cfg, 1);
             let mut trail = Vec::new();
             for s in scores {
                 t.observe(s);
@@ -934,12 +883,10 @@ mod tests {
             max_moves: 5,
             ..TunerConfig::default()
         };
-        let mut t = Tuner::new(cfg, 1, 2);
+        let mut t = Tuner::new(cfg, 1);
         for i in 0..100 {
             t.observe(1.0 + (i % 7) as f64 * 0.1);
-            let (d, w) = t.setting();
-            assert!((cfg.min_depth..=cfg.max_depth).contains(&d));
-            assert!((cfg.min_window..=cfg.max_window).contains(&w));
+            assert!((cfg.min_depth..=cfg.max_depth).contains(&t.setting()));
         }
         assert!(t.frozen());
         assert!(t.moves() <= cfg.max_moves);
@@ -954,22 +901,20 @@ mod tests {
             margin_permille: 10,
             ..TunerConfig::default()
         };
-        let mut t = Tuner::new(cfg, 1, 2);
+        let mut t = Tuner::new(cfg, 1);
         for _ in 0..40 {
-            let (d, w) = t.setting();
-            // Score improves with depth, indifferent to window.
-            let score = 10.0 - d as f64 + 0.001 * w as f64;
+            let score = 10.0 - t.setting() as f64;
             t.observe(score);
             if t.frozen() {
                 break;
             }
         }
-        assert!(t.setting().0 > 1, "tuner never climbed: {:?}", t.setting());
+        assert!(t.setting() > 1, "tuner never climbed: {:?}", t.setting());
     }
 
     #[test]
     fn tuner_cell_memoizes_settings() {
-        let cell = TunerCell::new(TunerConfig::default(), 2, vec![1e6; 4], 1, 3);
+        let cell = TunerCell::new(TunerConfig::default(), 2, vec![1e6; 4], 1);
         let s0 = cell.setting_for(0);
         cell.record(0, 0.5);
         cell.record(0, 0.7);

@@ -1,6 +1,6 @@
 //! Deterministic correctness and regression tests for the batched
-//! multi-GEMM driver (`srumma_core::batch`): one executor, one
-//! slot-ring arena, per-entry epoch fences.
+//! multi-GEMM driver (`srumma_core::batch`): one executor, in-place
+//! entries, no fences.
 
 use srumma_core::batch::{
     batch_serial_reference, multiply_batch, multiply_batch_exec, multiply_batch_sim,
@@ -98,23 +98,6 @@ fn workspace_grows_at_most_once_across_batch() {
     for (rank, &g) in res.ws_grow_counts.iter().enumerate() {
         assert!(g <= 1, "threads rank {rank}: workspace grew {g} times");
     }
-}
-
-/// The serialized (`window = 1`) and pipelined (`window ≥ 2`) programs
-/// must be numerically indistinguishable.
-#[test]
-fn window_one_matches_window_three() {
-    let batch3 = mixed_batch(); // default window = 3
-    let batch1 = mixed_batch().with_window(1);
-    let r3 = multiply_batch_exec(&batch3, 4, 2);
-    let r1 = multiply_batch_exec(&batch1, 4, 2);
-    for (e, (c3, c1)) in r3.outputs.iter().zip(&r1.outputs).enumerate() {
-        let diff = max_abs_diff(c3, c1);
-        assert!(diff == 0.0, "entry {e}: window 1 vs 3 |diff|={diff:e}");
-    }
-    // A window wider than the batch is clamped, not an error.
-    let wide = mixed_batch().with_window(64);
-    assert_matches_reference(&multiply_batch(&wide, 4).outputs, &wide, "wide window");
 }
 
 #[test]

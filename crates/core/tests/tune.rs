@@ -46,7 +46,6 @@ fn profile_roundtrip_preserves_every_field() {
         strassen: Some(None), // probed: recursion loses on this host
         workers: Some(6),
         prefetch_depth: Some(3),
-        batch_window: Some(3),
         ranks_per_node: Some(4),
         replication_budget_bytes: Some(12_345_678),
     };
@@ -66,7 +65,6 @@ fn profile_roundtrip_resolves_identical_options() {
             nc: 256,
         }),
         prefetch_depth: Some(2),
-        batch_window: Some(4),
         ..HostProfile::new()
     };
     let path = temp_path("resolve");
@@ -125,7 +123,7 @@ fn profile_does_not_override_explicit_gemm_config() {
 fn merge_folds_probed_fields_without_erasing_others() {
     let mut merged = HostProfile {
         workers: Some(4),
-        batch_window: Some(2),
+        ranks_per_node: Some(2),
         ..HostProfile::new()
     };
     merged.merge(&HostProfile {
@@ -134,7 +132,7 @@ fn merge_folds_probed_fields_without_erasing_others() {
         ..HostProfile::new()
     });
     assert_eq!(merged.workers, Some(8), "newer probe wins");
-    assert_eq!(merged.batch_window, Some(2), "unprobed field survives");
+    assert_eq!(merged.ranks_per_node, Some(2), "unprobed field survives");
     assert_eq!(merged.prefetch_depth, Some(1), "new field lands");
 }
 
@@ -238,7 +236,7 @@ fn tuned_test_batch(entries: usize, n: usize, tuner: Option<TunerConfig>) -> Bat
     if let Some(cfg) = tuner {
         opts = opts.with_tuner(cfg);
     }
-    batch.with_opts(opts).with_window(3)
+    batch.with_opts(opts)
 }
 
 #[test]
@@ -264,12 +262,11 @@ fn tuner_is_bitwise_neutral_on_exec_backend() {
         );
     }
     // The trajectory covers the stream and stays inside the config's
-    // bounds (clamped additionally by the physical window).
+    // bounds.
     let cfg = TunerConfig::default();
     assert_eq!(steps.len(), entries);
     for s in &steps {
         assert!(s.depth >= cfg.min_depth && s.depth <= cfg.max_depth);
-        assert!(s.window >= cfg.min_window && s.window <= cfg.max_window);
     }
 }
 
@@ -423,4 +420,19 @@ fn clamped_to_math() {
     // Auto blocks stay Auto — the resolver owns them.
     let auto = GemmConfig::default().clamped_to(4, 4, 4);
     assert_eq!(auto.blocks, None);
+}
+
+/// Profiles written before the batch driver lost its slot ring carry a
+/// `batch_window` key; the loader ignores it like any unknown key.
+#[test]
+fn legacy_batch_window_key_is_ignored() {
+    let text = format!("{{\"version\": {PROFILE_VERSION}, \"workers\": 2, \"batch_window\": 6}}");
+    let p = HostProfile::from_json(&text).unwrap();
+    assert_eq!(
+        p,
+        HostProfile {
+            workers: Some(2),
+            ..HostProfile::new()
+        }
+    );
 }

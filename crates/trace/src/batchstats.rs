@@ -1,20 +1,19 @@
 //! Metrics rollup for **batched** runs: a stream of multiplies on one
-//! executor, one arena, with per-entry epoch fences instead of
-//! per-multiply open/close barrier pairs.
+//! worker pool, each entry multiplied in place, with no barrier or
+//! fence between entries.
 //!
 //! The backends are too far down the stack to know about batch entries,
 //! so the batched driver stamps a small [`EntryRankSample`] per rank
-//! per entry (time staging operands, time computing, time blocked at
-//! the entry's fences, first-touch and done-fence wall times) and this
-//! module rolls them up:
+//! per entry (time initialising its C block, time computing, first-touch
+//! and finish wall times) and this module rolls them up:
 //!
 //! * [`EntryStats`] — one entry across its ranks, convertible to the
 //!   familiar per-run [`RunStats`] shape;
-//! * [`BatchStats`] — the whole stream: amortized fence time per entry
-//!   and the **inter-entry overlap fraction** (how much of the
-//!   entries' summed wall spans was hidden by pipelining them — the
-//!   paper's communication/computation overlap lifted from the task
-//!   level to the batch level).
+//! * [`BatchStats`] — the whole stream: fence time per entry (kept in
+//!   the schema; zero for fence-free batches) and the **inter-entry
+//!   overlap fraction** (how much of the entries' summed wall spans ran
+//!   concurrently — the paper's communication/computation overlap
+//!   lifted from the task level to the batch level).
 
 use crate::json::JsonObject;
 use crate::stats::{RankStats, RunStats};
@@ -22,15 +21,17 @@ use crate::stats::{RankStats, RunStats};
 /// One rank's timings for one batch entry, stamped by the driver.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EntryRankSample {
-    /// Seconds staging this rank's operand/C blocks into the slot.
+    /// Seconds initialising this rank's C block from the entry's
+    /// initial C (zero when it has none).
     pub stage_s: f64,
-    /// Seconds in the entry's task loop (including result extraction).
+    /// Seconds building, running and releasing the entry's machine.
     pub compute_s: f64,
-    /// Seconds blocked at the entry's staged/done fences.
+    /// Seconds blocked waiting on peers. The batched driver has no
+    /// fences, so it reports 0; the field stays for the schema.
     pub fence_s: f64,
     /// Wall time this rank first touched the entry.
     pub t_start: f64,
-    /// Wall time this rank arrived at the entry's done fence.
+    /// Wall time this rank finished the entry.
     pub t_end: f64,
     /// Tasks this rank executed for the entry (surviving tasks under a
     /// block-sparsity mask; all tasks when dense).
@@ -70,8 +71,8 @@ impl EntryStats {
         self.samples.iter().map(|s| s.fence_s).sum()
     }
 
-    /// Wall span of the entry: first touch by any rank to the last done
-    /// arrival. An entry with no samples (or all-zero timestamps, e.g.
+    /// Wall span of the entry: first touch by any rank to the last
+    /// rank's finish. An entry with no samples (or all-zero timestamps, e.g.
     /// a fully masked-out entry on virtual backing) reports 0, not a
     /// NaN/negative artifact of folding over empty iterators.
     pub fn span_s(&self) -> f64 {
@@ -168,7 +169,7 @@ impl BatchStats {
 
     /// Amortized synchronization cost: fence-blocked seconds per entry.
     /// A loop of standalone multiplies pays two full barriers per
-    /// multiply; the batched stream pays this instead.
+    /// multiply; the fence-free batched stream reports 0.
     pub fn fence_s_per_entry(&self) -> f64 {
         if self.entries.is_empty() {
             0.0
@@ -179,8 +180,8 @@ impl BatchStats {
 
     /// Inter-entry overlap fraction: `1 − wall / Σ entry spans`,
     /// clamped to `[0, 1)`. Zero means entries ran back-to-back with no
-    /// pipelining; approaching 1 means entry *i+1*'s staging and
-    /// compute hid almost entirely under entry *i*'s stragglers.
+    /// pipelining; approaching 1 means entry *i+1* ran almost entirely
+    /// while entry *i*'s stragglers were still finishing it.
     pub fn inter_entry_overlap(&self) -> f64 {
         let spans: f64 = self.entries.iter().map(|e| e.span_s()).sum();
         if spans <= 0.0 || self.wall_s <= 0.0 {

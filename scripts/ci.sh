@@ -15,11 +15,12 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test -q --workspace
 
-echo "== cargo test --release: request and zero-copy oracles =="
-# Host runs write C through strided views of the caller's matrix; an
-# aliasing bug there miscompiles under optimisation, while the debug
-# pass above is where the arena access checker runs.
-cargo test -q --release -p srumma-core --test request --test zero_copy
+echo "== cargo test --release: request, zero-copy and batch oracles =="
+# Host runs and every batch entry write C through strided views of
+# caller memory; an aliasing bug there miscompiles under optimisation,
+# while the debug pass above is where the arena access checker runs.
+cargo test -q --release -p srumma-core --test request --test zero_copy \
+    --test batch_multiply --test property_batch --test batch_in_place
 
 echo "== benchmark self-tests against the facade =="
 # bench_e2e is its own package (not a workspace member) that compiles
@@ -49,9 +50,10 @@ timeout 300 cargo run --release -q -p srumma-bench \
     --bin bench_executor_scaling -- --smoke
 
 echo "== batched-stream smoke: 32-entry batch on 2 workers =="
-# The batched driver's epoch fences and slot-ring reuse are exactly the
-# kind of code whose bugs deadlock (lost fence wakeup) or corrupt a
-# neighbor entry (slot reused too early) — bounded run, serial-checked.
+# Eight ranks interleave on two workers, each at its own entry of the
+# stream, writing C blocks in place into the entries' outputs; a block
+# written through the wrong view corrupts a neighbour, which the serial
+# check catches. Bounded by timeout so a hang fails fast.
 timeout 300 cargo run --release -q -p srumma-bench \
     --bin bench_batched_gemm -- --smoke
 
@@ -69,19 +71,20 @@ timeout 300 env SRUMMA_KERNEL=scalar cargo run --release -q -p srumma-bench \
 echo "== autotune smoke: probe path + tuner neutrality on 2 workers =="
 # The zero-config probe path (multiply_autotuned) end-to-end, then a
 # tuner-on vs tuner-off batch on an oversubscribed pool. The smoke
-# hard-asserts bitwise-identical outputs (the tuner may only move
-# scheduling knobs) and bounded tuner overhead; a window-clamp bug in
-# the tuned fence gating deadlocks, so the run is bounded.
+# hard-asserts bitwise-identical outputs (the tuner may only move the
+# prefetch depth), serial-checks the tuned batch and bounds the tuner
+# overhead; timeout bounds a hang.
 timeout 300 cargo run --release -q -p srumma-bench \
     --bin bench_autotune -- --smoke
 
 echo "== chaos pass: fault injection under fixed-seed plans =="
 # The chaos suite injects stragglers, spiked gets and a rank death
 # (with task re-execution) from seeded FaultPlans. Its failure modes
-# are deadlocks (a retired fence not advancing, a lost wakeup after a
-# death announcement) — bounded with timeout so they fail fast. Run
-# under both kernel dispatch modes: re-executed tasks must be bitwise
-# identical to the healthy run whichever microkernel executes them.
+# are deadlocks (a proxy arrival not discharging a dead rank's
+# barrier, a lost wakeup after a death announcement) — bounded with
+# timeout so they fail fast. Run under both kernel dispatch modes:
+# re-executed tasks must be bitwise identical to the healthy run
+# whichever microkernel executes them.
 timeout 300 cargo test -q --release -p srumma --test property_chaos
 timeout 300 env SRUMMA_KERNEL=scalar cargo test -q --release -p srumma --test property_chaos
 # Determinism of the schedule itself: the same seeded plans twice —
