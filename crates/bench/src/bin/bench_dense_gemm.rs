@@ -1,6 +1,6 @@
 //! Local dgemm kernel throughput: the full kernel ladder — `naive`,
 //! the `scalar` micro-kernel, every available SIMD micro-kernel
-//! (AVX2 4×12, AVX-512 8×8, NEON 4×8), and the Strassen-routed best —
+//! (AVX2 4×12, AVX-512 8×24, NEON 4×8), and the Strassen-routed best —
 //! at the block sizes SRUMMA's task loop actually feeds the serial
 //! kernel (a P-rank run of the paper's N=1000..16000 problems hands out
 //! ~64–500-wide blocks).

@@ -5,7 +5,7 @@
 //! `DistMatrix::gather`) and leave the caller's operands untouched.
 
 use srumma_comm::{
-    exec_run, exec_run_tasks, exec_run_traced, thread_run, thread_run_traced, DistMatrix, FaultPlan,
+    exec_run, exec_run_tasks, exec_run_traced, thread_run, thread_run_traced, FaultPlan,
 };
 use srumma_core::driver::{default_grid, SparseMasks};
 use srumma_core::layout::{dist_a, dist_b, dist_c, scatter_operands, set_a_mask, set_b_mask};
@@ -15,8 +15,9 @@ use srumma_core::{
     SrummaRankTask,
 };
 use srumma_dense::{BlockMask, Matrix, Op};
-use srumma_model::ProcGrid;
-use std::ptr::NonNull;
+// Only the debug-only write-under-read test below adopts C by hand.
+#[cfg(debug_assertions)]
+use {srumma_comm::DistMatrix, srumma_model::ProcGrid, std::ptr::NonNull};
 
 const RANKS: [usize; 5] = [1, 2, 3, 4, 6];
 const WORKERS: usize = 2;

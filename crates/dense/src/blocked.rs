@@ -14,6 +14,16 @@
 //! `β·C` is applied exactly once at the start (BLAS semantics), after
 //! which every `(lc)` slice accumulates into C.
 //!
+//! The `mc` and `nc` steps are **sliver-aligned**: a configured block
+//! that does not cover its dimension steps by the block rounded down to
+//! whole `mr`/`nr` slivers (never below one sliver), and a block that
+//! covers its dimension takes the dimension unchanged. So with the
+//! AVX-512 kernel's `nr = 24`, `nc = 512` steps by 504 columns instead
+//! of leaving a padded 8-of-24 edge sliver in every panel. `kc` is
+//! never rounded. How `m` and `n` are cut into panels cannot change a
+//! result bit: every element of C still sums, per `kc` block, one
+//! accumulator chain in `k` order from zero and then adds `α·acc`.
+//!
 //! The packing buffers live in a [`GemmWorkspace`] that callers on hot
 //! paths (the `Comm::gemm` implementations, the SRUMMA task loop) keep
 //! across calls, so the steady state performs **zero** heap
@@ -69,13 +79,20 @@ pub const STRASSEN_DEFAULT_CUTOFF: usize = 512;
 /// Correctness never depends on these; throughput does. The defaults
 /// match the historical constants; `cargo run --bin calibrate` probes a
 /// candidate grid on the host and reports the best-performing set.
+///
+/// `mc` and `nc` are upper bounds: [`blocked_gemm_ws`] rounds each down
+/// to whole kernel slivers when it does not cover its dimension (see
+/// the module docs), so a block need not be a multiple of `mr`/`nr`.
+/// `kc` is used as given.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BlockSizes {
-    /// A-panel rows per pack (`ic` step).
+    /// A-panel rows per pack (`ic` step, rounded down to whole `mr`
+    /// slivers when `mc < m`).
     pub mc: usize,
     /// Shared inner-dimension block (`lc` step).
     pub kc: usize,
-    /// B-panel columns per pack (`jc` step).
+    /// B-panel columns per pack (`jc` step, rounded down to whole `nr`
+    /// slivers when `nc < n`).
     pub nc: usize,
 }
 
@@ -430,9 +447,11 @@ impl GemmWorkspace {
     }
 
     /// Make sure the packing buffers cover one full (mc × kc) A panel
-    /// and one (kc × nc) B panel. Buffer demand depends only on the
-    /// workspace configuration, so this grows at most once — and the
-    /// allocation is zero-page-backed ([`AlignedBuf::grow_to`]), so a
+    /// and one (kc × nc) B panel at the widest step [`sliver_step`] can
+    /// take: a dimension the block just covers, padded to whole slivers
+    /// (a rounded-down step is never wider). Buffer demand depends only
+    /// on the workspace configuration, so this grows at most once — and
+    /// the allocation is zero-page-backed ([`AlignedBuf::grow_to`]), so a
     /// small multiply under a big-block configuration (e.g. a host
     /// profile calibrated at paper scale) only ever touches the panel
     /// prefix it actually packs.
@@ -475,6 +494,20 @@ impl GemmWorkspace {
     }
 }
 
+/// The step a cache block of `block` rows (or columns) takes over a
+/// dimension of `dim`, for a kernel whose slivers are `sliver` wide:
+/// the whole dimension when the block covers it, otherwise the block
+/// rounded down to whole slivers, never below one. Every panel but the
+/// last then ends on a sliver boundary, so only the dimension's own
+/// ragged edge is ever padded.
+fn sliver_step(block: usize, dim: usize, sliver: usize) -> usize {
+    if block >= dim {
+        dim
+    } else {
+        (block - block % sliver).max(sliver)
+    }
+}
+
 /// Cache-blocked `C ← α·op(A)·op(B) + β·C` with caller-owned workspace.
 /// See [`crate::dgemm`] for the shape contract.
 #[allow(clippy::too_many_arguments)]
@@ -505,11 +538,9 @@ pub fn blocked_gemm_ws(
     ws.reserve();
     let kernel = ws.kernel;
     let layout = ws.layout;
-    let BlockSizes {
-        mc: bmc,
-        kc: bkc,
-        nc: bnc,
-    } = ws.blocks;
+    let bkc = ws.blocks.kc;
+    let bmc = sliver_step(ws.blocks.mc, m, kernel.mr());
+    let bnc = sliver_step(ws.blocks.nc, n, kernel.nr());
 
     let mut jc = 0;
     while jc < n {
@@ -978,6 +1009,21 @@ mod tests {
         assert!(parse_strassen("8").unwrap_err().contains("minimum"));
         let err = parse_strassen("always").unwrap_err();
         assert!(err.contains("off|on|<cutoff"), "{err}");
+    }
+
+    #[test]
+    fn steps_round_down_to_whole_slivers_unless_the_block_covers() {
+        // The profile's nc = 512 over a 1536-wide C at nr = 24.
+        assert_eq!(sliver_step(512, 1536, 24), 504);
+        // Already whole slivers: unchanged.
+        assert_eq!(sliver_step(128, 1536, 8), 128);
+        // A block below one sliver still steps one sliver.
+        assert_eq!(sliver_step(5, 100, 8), 8);
+        // A block that covers its dimension takes the dimension, even
+        // past the rounded-down step (510 > 504).
+        assert_eq!(sliver_step(512, 510, 24), 510);
+        assert_eq!(sliver_step(512, 512, 24), 512);
+        assert_eq!(sliver_step(3, 2, 8), 2);
     }
 
     #[test]

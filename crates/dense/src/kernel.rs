@@ -15,11 +15,14 @@
 //!   B-vector and one broadcast register — exactly the sixteen `ymm`
 //!   registers AVX2 offers), three loads + four broadcasts + twelve
 //!   FMAs per `k` step.
-//! * **AVX-512F** (`mr = 8`, `nr = 8`, [`crate::simd`]) — eight 512-bit
-//!   accumulators (one zmm per row of the tile), one B load + eight
-//!   broadcasts + eight FMAs per `k` step. The taller `mr = 8` tile
-//!   doubles the `k`-reuse of each B load; packing adapts because
-//!   `pack_a`/`pack_b` take `mr`/`nr` as parameters.
+//! * **AVX-512F** (`mr = 8`, `nr = 24`, [`crate::simd`]) — twenty-four
+//!   512-bit accumulators (8 rows × 3 zmm vectors), three B loads +
+//!   eight broadcasts + twenty-four FMAs per `k` step: 28 of the 32
+//!   `zmm` registers. Twenty-four independent accumulator chains keep
+//!   both FMA ports busy through the FMA latency (eight, one per row,
+//!   would only just cover it), and each broadcast feeds three FMAs.
+//!   Packing adapts because `pack_a`/`pack_b` take `mr`/`nr` as
+//!   parameters.
 //! * **NEON** (`mr = 4`, `nr = 8`, [`crate::simd_neon`], `aarch64`
 //!   only) — sixteen 128-bit accumulators (4 rows × 4 vectors of two
 //!   `f64`), four B loads + four broadcasts + sixteen FMAs per `k`
@@ -51,14 +54,14 @@ pub const NR: usize = 8;
 /// Micro-tile columns of the AVX2 kernel.
 pub const NR_AVX2: usize = 12;
 /// Micro-tile columns of the AVX-512 kernel.
-pub const NR_AVX512: usize = 8;
+pub const NR_AVX512: usize = 24;
 /// Micro-tile columns of the NEON kernel.
 pub const NR_NEON: usize = 8;
 /// Largest `nr` any kernel uses.
-pub const NR_MAX: usize = 12;
+pub const NR_MAX: usize = 24;
 /// Accumulator length covering every kernel's `mr × nr` tile
-/// (the largest tile is the AVX-512 kernel's 8×8 = 64).
-pub const ACC_LEN: usize = 64;
+/// (the largest tile is the AVX-512 kernel's 8×24 = 192).
+pub const ACC_LEN: usize = 192;
 
 /// A selectable micro-kernel implementation.
 ///
@@ -76,7 +79,7 @@ pub enum Microkernel {
     /// [`crate::blocked::GemmWorkspace`] enforce this.
     #[cfg(target_arch = "x86_64")]
     Avx2,
-    /// AVX-512F intrinsics kernel (`8 × 8`). Same availability
+    /// AVX-512F intrinsics kernel (`8 × 24`). Same availability
     /// contract as [`Microkernel::Avx2`].
     #[cfg(target_arch = "x86_64")]
     Avx512,
@@ -140,7 +143,7 @@ impl Microkernel {
             #[cfg(target_arch = "x86_64")]
             Microkernel::Avx2 => "avx2-4x12",
             #[cfg(target_arch = "x86_64")]
-            Microkernel::Avx512 => "avx512-8x8",
+            Microkernel::Avx512 => "avx512-8x24",
             #[cfg(target_arch = "aarch64")]
             Microkernel::Neon => "neon-4x8",
         }
@@ -176,12 +179,22 @@ impl Microkernel {
     }
 
     /// Accumulate `a_sliver · b_sliver` into the `mr() × nr()` tile at
-    /// the front of `acc` (row `r`, column `c` at `acc[r * nr() + c]`).
+    /// the front of `acc` (row `r`, column `c` at `acc[r * nr() + c]`;
+    /// up to 8 × 24 = [`ACC_LEN`] elements for the AVX-512 tile).
     ///
     /// * `a_sliver` — packed `mr × kc` sliver, element `(r, k)` at
-    ///   `k * mr + r`.
+    ///   `k * mr + r`; at least `kc * mr` long.
     /// * `b_sliver` — packed `kc × nr` sliver, element `(k, c)` at
-    ///   `k * nr + c`.
+    ///   `k * nr + c`; at least `kc * nr` long.
+    /// * `acc` — at least `mr * nr` long. The SIMD kernels assert all
+    ///   three lengths before touching memory; the scalar kernel
+    ///   indexes bounds-checked slices.
+    ///
+    /// Every kernel computes each tile element as one chain
+    /// `acc = acc + a_k·b_k` in `k` order, starting from the value
+    /// passed in. The SIMD kernels fuse each step into one FMA, and the
+    /// scalar kernel rounds the product and the sum separately, so a
+    /// SIMD kernel's tile is bitwise independent of its `mr × nr` shape.
     #[inline]
     pub fn run(self, kc: usize, a_sliver: &[f64], b_sliver: &[f64], acc: &mut [f64]) {
         match self {
@@ -191,21 +204,27 @@ impl Microkernel {
                 debug_assert!(self.available(), "Avx2 kernel on a non-AVX2 host");
                 // SAFETY: the Avx2 variant is only constructed on hosts
                 // where runtime detection confirmed avx2+fma (see the
-                // variant docs); sliver/acc bounds are checked inside.
+                // variant docs); the kernel asserts `a_sliver.len() >=
+                // kc * 4`, `b_sliver.len() >= kc * 12` and `acc.len() >=
+                // 48` before any load or store.
                 unsafe { crate::simd::microkernel_avx2(kc, a_sliver, b_sliver, acc) }
             }
             #[cfg(target_arch = "x86_64")]
             Microkernel::Avx512 => {
                 debug_assert!(self.available(), "Avx512 kernel on a non-AVX512F host");
-                // SAFETY: same contract — constructed only after
-                // runtime detection confirmed avx512f.
+                // SAFETY: constructed only after runtime detection
+                // confirmed avx512f; the kernel asserts `a_sliver.len()
+                // >= kc * 8`, `b_sliver.len() >= kc * 24` and
+                // `acc.len() >= 192` before any load or store.
                 unsafe { crate::simd::microkernel_avx512(kc, a_sliver, b_sliver, acc) }
             }
             #[cfg(target_arch = "aarch64")]
             Microkernel::Neon => {
                 debug_assert!(self.available(), "Neon kernel without NEON support");
                 // SAFETY: NEON is baseline on aarch64 and detection
-                // confirmed it at construction time.
+                // confirmed it at construction time; the kernel asserts
+                // `a_sliver.len() >= kc * 4`, `b_sliver.len() >= kc * 8`
+                // and `acc.len() >= 32` before any load or store.
                 unsafe { crate::simd_neon::microkernel_neon(kc, a_sliver, b_sliver, acc) }
             }
         }
@@ -525,19 +544,26 @@ mod tests {
 
     #[test]
     fn writeback_handles_tall_tiles() {
-        // mr = 8 layout (the AVX-512 tile height), ragged extent.
+        // The 8 × 24 AVX-512 tile, at ragged extents that stop inside
+        // the first, second and third column vector.
         let nr = NR_AVX512;
         let mut acc = vec![0.0; MR_AVX512 * nr];
         for (i, v) in acc.iter_mut().enumerate() {
             *v = i as f64 + 1.0;
         }
-        let ldc = 11;
-        let mut c = vec![0.0; MR_AVX512 * ldc];
-        writeback(&acc, 1.0, nr, &mut MatMut::new(7, 5, ldc, &mut c));
-        for r in 0..MR_AVX512 {
-            for j in 0..ldc {
-                let expect = if r < 7 && j < 5 { acc[r * nr + j] } else { 0.0 };
-                assert_eq!(c[r * ldc + j], expect, "r={r} j={j}");
+        let ldc = 29;
+        for (rows, cols) in [(7, 5), (8, 9), (3, 17), (8, 24)] {
+            let mut c = vec![0.0; MR_AVX512 * ldc];
+            writeback(&acc, 1.0, nr, &mut MatMut::new(rows, cols, ldc, &mut c));
+            for r in 0..MR_AVX512 {
+                for j in 0..ldc {
+                    let expect = if r < rows && j < cols {
+                        acc[r * nr + j]
+                    } else {
+                        0.0
+                    };
+                    assert_eq!(c[r * ldc + j], expect, "{rows}x{cols} r={r} j={j}");
+                }
             }
         }
     }
@@ -576,8 +602,8 @@ mod tests {
         assert_eq!(Microkernel::Avx2.nr(), 12);
         assert_eq!(Microkernel::Avx2.name(), "avx2-4x12");
         assert_eq!(Microkernel::Avx512.mr(), 8);
-        assert_eq!(Microkernel::Avx512.nr(), 8);
-        assert_eq!(Microkernel::Avx512.name(), "avx512-8x8");
+        assert_eq!(Microkernel::Avx512.nr(), 24);
+        assert_eq!(Microkernel::Avx512.name(), "avx512-8x24");
     }
 
     #[test]

@@ -13,7 +13,11 @@
 //! Everything here is `unsafe fn` + `#[target_feature]`: callers reach
 //! it through [`crate::kernel::Microkernel::run`], which guarantees the
 //! feature was detected at dispatch time (NEON is baseline on
-//! `aarch64`, but the contract is kept uniform across kernels).
+//! `aarch64`, but the contract is kept uniform across kernels). Inside,
+//! every pointer load and store sits in its own `unsafe` block naming
+//! the assert that bounds it.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use crate::kernel::{MR, NR_NEON};
 use std::arch::aarch64::*;
@@ -40,19 +44,31 @@ pub unsafe fn microkernel_neon(kc: usize, a_sliver: &[f64], b_sliver: &[f64], ac
     let mut c: [[float64x2_t; NV]; MR] = [[vdupq_n_f64(0.0); NV]; MR];
     for (r, row) in c.iter_mut().enumerate() {
         for (j, v) in row.iter_mut().enumerate() {
-            *v = vld1q_f64(acc.as_ptr().add(r * NR_NEON + j * 2));
+            // SAFETY: r < MR and j < NV, so the two lanes at
+            // r * NR_NEON + j * 2 end at most at MR * NR_NEON, which
+            // `acc.len() >= MR * NR_NEON` (asserted above) covers.
+            *v = unsafe { vld1q_f64(acc.as_ptr().add(r * NR_NEON + j * 2)) };
         }
     }
 
     let ap = a_sliver.as_ptr();
     let bp = b_sliver.as_ptr();
     for k in 0..kc {
-        let b0 = vld1q_f64(bp.add(k * NR_NEON));
-        let b1 = vld1q_f64(bp.add(k * NR_NEON + 2));
-        let b2 = vld1q_f64(bp.add(k * NR_NEON + 4));
-        let b3 = vld1q_f64(bp.add(k * NR_NEON + 6));
+        // SAFETY: k < kc, so the eight f64 at k * NR_NEON .. (k + 1) *
+        // NR_NEON lie inside `b_sliver.len() >= kc * NR_NEON` (asserted
+        // above).
+        let (b0, b1, b2, b3) = unsafe {
+            (
+                vld1q_f64(bp.add(k * NR_NEON)),
+                vld1q_f64(bp.add(k * NR_NEON + 2)),
+                vld1q_f64(bp.add(k * NR_NEON + 4)),
+                vld1q_f64(bp.add(k * NR_NEON + 6)),
+            )
+        };
         for (r, row) in c.iter_mut().enumerate() {
-            let av = vdupq_n_f64(*ap.add(k * MR + r));
+            // SAFETY: k < kc and r < MR, so k * MR + r < kc * MR, which
+            // `a_sliver.len() >= kc * MR` (asserted above) covers.
+            let av = vdupq_n_f64(unsafe { *ap.add(k * MR + r) });
             row[0] = vfmaq_f64(row[0], av, b0);
             row[1] = vfmaq_f64(row[1], av, b1);
             row[2] = vfmaq_f64(row[2], av, b2);
@@ -62,7 +78,9 @@ pub unsafe fn microkernel_neon(kc: usize, a_sliver: &[f64], b_sliver: &[f64], ac
 
     for (r, row) in c.iter().enumerate() {
         for (j, v) in row.iter().enumerate() {
-            vst1q_f64(acc.as_mut_ptr().add(r * NR_NEON + j * 2), *v);
+            // SAFETY: same extent as the loads above — inside
+            // `acc.len() >= MR * NR_NEON` (asserted above).
+            unsafe { vst1q_f64(acc.as_mut_ptr().add(r * NR_NEON + j * 2), *v) };
         }
     }
 }
@@ -90,6 +108,8 @@ mod tests {
             }
         }
         let mut acc = vec![1.0; MR * NR_NEON];
+        // SAFETY: NEON detected above; the slices are sized exactly to
+        // the asserted bounds.
         unsafe { microkernel_neon(kc, &a, &b, &mut acc) };
         for r in 0..MR {
             for c in 0..NR_NEON {
@@ -111,6 +131,8 @@ mod tests {
         let a = vec![1.0; MR];
         let b = vec![1.0; NR_NEON];
         let mut acc = vec![0.0; MR * NR_NEON];
+        // SAFETY: NEON detected above; kc = 1 and the slices are sized
+        // exactly to the asserted bounds.
         unsafe {
             microkernel_neon(1, &a, &b, &mut acc);
             microkernel_neon(1, &a, &b, &mut acc);

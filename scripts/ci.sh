@@ -9,6 +9,13 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo clippy --release (deny warnings) =="
+# Code under cfg(debug_assertions) (the arena access checker and the
+# tests that exercise it) compiles out of release builds, so an import
+# or helper used only there warns in release alone; lint that
+# configuration too.
+cargo clippy --release --workspace --all-targets -- -D warnings
+
 echo "== cargo build --release =="
 cargo build --release --workspace
 
